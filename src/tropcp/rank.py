@@ -11,24 +11,33 @@ feasibility problem:
     b_i + b_j  = a_ij   for each assigned entry,
     b_s + b_t >= a_st   for every finite entry inside the support,
     b_t       >= 0      (diagonal domination; the diagonal is zero),
-    b_z        = 0      on the factor's designated zero set,
+    b_z        = 0      on the factor's designated zero set.
 
-solved by substitution along equality components followed by
-Fourier-Motzkin elimination.  Diagonal entries are assigned first as a
-"zero-set skeleton": a partition of the vertices into cliques of the
-pattern graph, one part per factor that holds zeros.  Branch and bound
-over skeletons and entry assignments is complete, so a fully exhausted
-search is a proof of CP-rank > r; resource-guard interruptions are
-reported as undetermined, never as refutation.
+Every constraint has two unit coefficients, so the system is a UTVPI
+(octagon) system: it has a rational solution exactly when its doubled
+difference-constraint graph has no negative cycle.  The search scales the
+matrix by the lcm of its denominators once and decides each search node
+with an incremental negative-cycle check on Python ints (`_Utvpi`).  Only
+at a found leaf is each factor solved exactly, by substitution along
+equality components followed by Fourier-Motzkin elimination
+(`solve_factor_system`), which gives a deterministic witness.
+
+Diagonal entries are assigned first as a "zero-set skeleton": a partition
+of the vertices into cliques of the pattern graph, one part per factor
+that holds zeros.  Branch and bound over skeletons and entry assignments
+is complete, so a fully exhausted search is a proof of CP-rank > r;
+resource-guard interruptions are reported as undetermined, never as
+refutation.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .analysis import (
     is_completely_positive,
@@ -260,6 +269,93 @@ def solve_factor_system(system: FactorConstraintSystem) -> Optional[TropVector]:
     return TropVector(entries)
 
 
+class _Utvpi:
+    """Incremental rational feasibility of x_i + x_j {>=, <=} c over ints.
+
+    Variable t has two graph nodes, 2t standing for x_t and 2t + 1 for
+    -x_t.  x_i + x_j >= c adds the edges 2i -> 2j+1 and 2j -> 2i+1 of
+    weight -c; x_i + x_j <= c adds 2i+1 -> 2j and 2j+1 -> 2i of weight c
+    (one edge when i == j).  The system is feasible over the rationals
+    exactly when this graph has no negative cycle.  `dist` keeps potentials
+    with dist[v] <= dist[u] + w on every edge while the system is feasible;
+    each addition relaxes only from the tails of the new edges.  `mark` and
+    `undo` roll back edges, variables and potentials along a DFS; after an
+    infeasible addition only `undo` may follow.
+    """
+
+    __slots__ = ("dist", "out", "nvars", "_edges")
+
+    def __init__(self, n: int):
+        self.dist = [0] * (2 * n)
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+        self.nvars = 0
+        self._edges: list[int] = []  # tail of every edge, in insertion order
+
+    def mark(self) -> tuple[int, list[int], int]:
+        return len(self._edges), self.dist[:], self.nvars
+
+    def undo(self, mark: tuple[int, list[int], int]) -> None:
+        n_edges, self.dist[:], self.nvars = mark
+        out, edges = self.out, self._edges
+        for u in reversed(edges[n_edges:]):
+            out[u].pop()
+        del edges[n_edges:]
+
+    def add_var(self, t: int, lowers: Sequence[tuple[int, int]]) -> None:
+        """New variable x_t with x_t + x_s >= c for each (s, c); s may be t.
+
+        x_t has no upper bound yet, so this cannot make the system
+        infeasible: potentials for a large enough x_t satisfy every new edge.
+        """
+        dist, out, edges = self.dist, self.out, self._edges
+        plus, minus = 2 * t, 2 * t + 1
+        high = max([dist[2 * s + 1] + c for s, c in lowers if s != t], default=0)
+        low = 0
+        for s, c in lowers:
+            out[plus].append((2 * s + 1, -c))
+            edges.append(plus)
+            if s == t:
+                low = min(low, high - c)
+            else:
+                low = min(low, dist[2 * s] - c)
+                out[2 * s].append((minus, -c))
+                edges.append(2 * s)
+        dist[plus], dist[minus] = high, low
+        self.nvars += 1
+
+    def add_lower(self, i: int, j: int, c: int) -> bool:
+        """Add x_i + x_j >= c; whether the system is still feasible."""
+        return self._add(2 * i, 2 * j + 1, 2 * j, 2 * i + 1, -c)
+
+    def add_upper(self, i: int, j: int, c: int) -> bool:
+        """Add x_i + x_j <= c; whether the system is still feasible."""
+        return self._add(2 * i + 1, 2 * j, 2 * j + 1, 2 * i, c)
+
+    def _add(self, u1: int, v1: int, u2: int, v2: int, w: int) -> bool:
+        dist, out, edges = self.dist, self.out, self._edges
+        out[u1].append((v1, w))
+        edges.append(u1)
+        if u1 != u2:
+            out[u2].append((v2, w))
+            edges.append(u2)
+        # Bellman-Ford from the current potentials, relaxing only out of
+        # nodes that changed; with 2 * nvars nodes it settles within that
+        # many rounds unless a negative cycle keeps it going.
+        frontier: Iterable[int] = (u1, u2)
+        for _ in range(2 * self.nvars):
+            changed = set()
+            for u in frontier:
+                du = dist[u]
+                for v, wt in out[u]:
+                    if du + wt < dist[v]:
+                        dist[v] = du + wt
+                        changed.add(v)
+            if not changed:
+                return True
+            frontier = changed
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Search bookkeeping
 # ---------------------------------------------------------------------------
@@ -275,14 +371,7 @@ class SearchStats:
         self.nodes += other.nodes
         self.skeletons += other.skeletons
         self.refuted_branches += other.refuted_branches
-        self.wall_time = max(self.wall_time, other.wall_time)
-
-
-@dataclass(frozen=True)
-class CoverAssignment:
-    """Designated achiever factor per finite entry of the target matrix."""
-
-    entries: tuple[tuple[tuple[int, int], int], ...]
+        self.wall_time += other.wall_time
 
 
 @dataclass
@@ -292,7 +381,6 @@ class RankSearchOutcome:
     status: str  # found / refuted / undetermined
     r: int
     decomposition: Optional[Decomposition]
-    assignment: Optional[CoverAssignment]
     stats: SearchStats
 
     @property
@@ -375,29 +463,65 @@ def _clique_partitions(
 
 
 class _FactorBuild:
-    """Mutable factor state during the assignment search."""
+    """Mutable factor state during the assignment search.
 
-    __slots__ = ("zeros", "support", "equalities")
+    `support` and `equalities` describe the factor system exactly (for the
+    witness at a found leaf); `kernel` holds the same system on the scaled
+    matrix `C` (ints, None for inf) and decides feasibility at every node.
+    """
 
-    def __init__(self, zeros: frozenset[int]):
+    __slots__ = ("zeros", "support", "equalities", "C", "kernel", "_undo")
+
+    def __init__(self, zeros: frozenset[int], C: list[list[Optional[int]]]):
         self.zeros = zeros
-        self.support: set[int] = set(zeros)
+        self.support: set[int] = set()
         self.equalities: list[tuple[int, int, Fraction]] = []
+        self.C = C
+        self.kernel = _Utvpi(len(C))
+        self._undo: list[tuple[tuple[int, list[int], int], list[int]]] = []
+        # b_z = 0: with the zero diagonal as its lower half; a zero set is a
+        # clique of zero entries, so this never fails
+        for z in sorted(zeros):
+            self._add_coordinate(z)
+            self.kernel.add_upper(z, z, 0)
 
     def touched(self) -> bool:
         return bool(self.support) or bool(self.equalities)
 
+    def _add_coordinate(self, t: int) -> bool:
+        """Make b_t finite; False when an inf entry pairs it with the support."""
+        row = self.C[t]
+        lowers = [(s, row[s]) for s in self.support]
+        if any(c is None for _, c in lowers):
+            return False
+        lowers.append((t, row[t]))
+        self.kernel.add_var(t, lowers)
+        self.support.add(t)
+        return True
 
-def _factor_system(A: SymTropMatrix, f: _FactorBuild) -> Optional[FactorConstraintSystem]:
-    """Build the factor's full system; None when the support holds an inf entry."""
+    def push(self, i: int, j: int, value: Fraction, scaled: int) -> bool:
+        """Let this factor achieve a_ij = value (scaled in C); whether it stays feasible."""
+        added = [t for t in (i, j) if t not in self.support]
+        self._undo.append((self.kernel.mark(), added))
+        self.equalities.append((i, j, value))
+        for t in added:
+            if not self._add_coordinate(t):
+                return False
+        return self.kernel.add_upper(i, j, scaled)
+
+    def pop(self) -> None:
+        mark, added = self._undo.pop()
+        self.kernel.undo(mark)
+        self.equalities.pop()
+        self.support.difference_update(added)
+
+
+def _factor_system(A: SymTropMatrix, f: _FactorBuild) -> FactorConstraintSystem:
+    """The factor's full exact system; its support holds finite entries only."""
     support = sorted(f.support)
-    inequalities: list[tuple[int, int, Fraction]] = []
-    for a_idx, s in enumerate(support):
-        for t in support[a_idx:]:
-            v = A[s, t]
-            if v.is_inf:
-                return None
-            inequalities.append((s, t, v.finite))
+    inequalities = [
+        (s, t, A[s, t].finite) for a_idx, s in enumerate(support) for t in support[a_idx:]
+    ]
     return FactorConstraintSystem(
         n=A.n,
         support=frozenset(support),
@@ -414,20 +538,20 @@ def _search_skeleton(
     reqs: Sequence[tuple[int, int, Fraction]],
     budget: _Budget,
     stats: SearchStats,
-) -> Optional[tuple[list[TropVector], list[int]]]:
+) -> Optional[list[TropVector]]:
     """DFS over requirement assignments for one zero-set skeleton.
 
-    Returns (factors, achiever-per-requirement) or None when this skeleton
-    is exhausted.  Raises _Guard on budget exhaustion.
+    Returns the factors or None when this skeleton is exhausted.  Raises
+    _Guard on budget exhaustion.
     """
-    factors = [_FactorBuild(frozenset(p)) for p in parts]
-    factors += [_FactorBuild(frozenset()) for _ in range(r - len(parts))]
+    # the lcm of the denominators turns every finite entry into an int
+    finite = [v.finite for _, _, v in A.upper_entries() if not v.is_inf]
+    scale = math.lcm(1, *(v.denominator for v in finite))
+    C = [[None if v.is_inf else int(v.finite * scale) for v in row] for row in A.rows()]
+    scaled = [int(value * scale) for _, _, value in reqs]
+    factors = [_FactorBuild(frozenset(p), C) for p in parts]
+    factors += [_FactorBuild(frozenset(), C) for _ in range(r - len(parts))]
     n_fixed = len(parts)
-    achiever: list[int] = []
-
-    def feasible(f: _FactorBuild) -> bool:
-        system = _factor_system(A, f)
-        return system is not None and solve_factor_system(system) is not None
 
     def rec(depth: int) -> Optional[list[TropVector]]:
         if depth == len(reqs):
@@ -435,11 +559,9 @@ def _search_skeleton(
             for f in factors:
                 if not f.touched():
                     continue
-                system = _factor_system(A, f)
-                assert system is not None
-                witness = solve_factor_system(system)
+                witness = solve_factor_system(_factor_system(A, f))
                 if witness is None:
-                    return None
+                    raise AssertionError("factor system feasible by the kernel but not by FM")
                 out.append(witness)
             return out
         i, j, value = reqs[depth]
@@ -450,29 +572,16 @@ def _search_skeleton(
         for f_idx in range(limit):
             f = factors[f_idx]
             budget.tick()
-            added = [t for t in (i, j) if t not in f.support]
-            f.support.update(added)
-            f.equalities.append((i, j, value))
-            if feasible(f):
+            if f.push(i, j, value, scaled[depth]):
                 result = rec(depth + 1)
                 if result is not None:
-                    achiever.append(f_idx)
-                    f.equalities.pop()
-                    for t in added:
-                        f.support.discard(t)
                     return result
             else:
                 stats.refuted_branches += 1
-            f.equalities.pop()
-            for t in added:
-                f.support.discard(t)
+            f.pop()
         return None
 
-    solution = rec(0)
-    if solution is None:
-        return None
-    achiever.reverse()
-    return solution, achiever
+    return rec(0)
 
 
 def cp_rank_leq(
@@ -500,51 +609,37 @@ def cp_rank_leq(
     budget = _Budget(node_limit, timeout_s)
     stats = SearchStats()
     start = time.monotonic()
+    status, dec = REFUTED, None
     try:
         for parts in _clique_partitions(masks, A.n, r):
             stats.skeletons += 1
-            found = _search_skeleton(A, r, parts, reqs, budget, stats)
-            if found is not None:
-                vectors, achiever = found
-                dec = Decomposition(A, vectors)
-                assignment = CoverAssignment(
-                    tuple(
-                        (((i, j)), f_idx)
-                        for (i, j, _), f_idx in zip(reqs, achiever)
-                    )
-                )
-                stats.nodes = budget.nodes
-                stats.wall_time = time.monotonic() - start
-                return RankSearchOutcome(FOUND, r, dec, assignment, stats)
+            vectors = _search_skeleton(A, r, parts, reqs, budget, stats)
+            if vectors is not None:
+                status, dec = FOUND, Decomposition(A, vectors)
+                break
     except _Guard:
-        stats.nodes = budget.nodes
-        stats.wall_time = time.monotonic() - start
-        return RankSearchOutcome(UNDETERMINED, r, None, None, stats)
+        status = UNDETERMINED
     stats.nodes = budget.nodes
     stats.wall_time = time.monotonic() - start
-    return RankSearchOutcome(REFUTED, r, None, None, stats)
+    return RankSearchOutcome(status, r, dec, stats)
 
 
 def _skeleton_worker(args) -> tuple[int, str, Optional[list[list[str]]], SearchStats]:
-    rows, r, parts, node_limit, timeout_s, index = args
+    rows, r, parts, node_limit, deadline, index = args
     A = SymTropMatrix.from_rows(rows)
     reqs = _finite_offdiag_requirements(A)
-    budget = _Budget(node_limit, timeout_s)
+    budget = _Budget(node_limit, deadline - time.monotonic())
     stats = SearchStats(skeletons=1)
     start = time.monotonic()
     try:
-        found = _search_skeleton(A, r, parts, reqs, budget, stats)
+        vectors = _search_skeleton(A, r, parts, reqs, budget, stats)
+        status = REFUTED if vectors is None else FOUND
     except _Guard:
-        stats.nodes = budget.nodes
-        stats.wall_time = time.monotonic() - start
-        return index, UNDETERMINED, None, stats
+        status, vectors = UNDETERMINED, None
     stats.nodes = budget.nodes
     stats.wall_time = time.monotonic() - start
-    if found is None:
-        return index, REFUTED, None, stats
-    vectors, _ = found
-    serial = [[str(e) for e in vec] for vec in vectors]
-    return index, FOUND, serial, stats
+    serial = None if vectors is None else [[str(e) for e in vec] for vec in vectors]
+    return index, status, serial, stats
 
 
 def _cp_rank_leq_parallel(
@@ -564,8 +659,10 @@ def _cp_rank_leq_parallel(
         return cp_rank_leq(A, r, node_limit, timeout_s, threads=1)
     rows = [[str(e) for e in row] for row in A.rows()]
     per_branch_nodes = max(1, node_limit // max(1, len(skeletons)))
+    # one deadline for the whole decision: each job gets what is left of it
+    deadline = time.monotonic() + timeout_s
     jobs = [
-        (rows, r, parts, per_branch_nodes, timeout_s, idx)
+        (rows, r, parts, per_branch_nodes, deadline, idx)
         for idx, parts in enumerate(skeletons)
     ]
     stats = SearchStats()
@@ -584,10 +681,10 @@ def _cp_rank_leq_parallel(
         if status == FOUND:
             factors = [TropVector(entries) for entries in serial]
             dec = Decomposition(A, factors)
-            return RankSearchOutcome(FOUND, r, dec, None, stats)
+            return RankSearchOutcome(FOUND, r, dec, stats)
     if any(status == UNDETERMINED for status, _ in results.values()):
-        return RankSearchOutcome(UNDETERMINED, r, None, None, stats)
-    return RankSearchOutcome(REFUTED, r, None, None, stats)
+        return RankSearchOutcome(UNDETERMINED, r, None, stats)
+    return RankSearchOutcome(REFUTED, r, None, stats)
 
 
 # ---------------------------------------------------------------------------

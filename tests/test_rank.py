@@ -1,10 +1,14 @@
 """Feasibility solver, bounds, and the exact CP-rank search."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcp import (
+    INF,
     FactorConstraintSystem,
     SymTropMatrix,
     TropVector,
@@ -29,6 +33,7 @@ from tropcp.corpus import (
     star6_matrix,
 )
 from tropcp.generators import generate_instance, random_pattern_graph
+from tropcp.rank import SearchStats, _FactorBuild, _skeleton_worker, _Utvpi
 
 from oracles import brute_cp_rank
 
@@ -150,6 +155,159 @@ class TestFactorSolver:
         assert solve_factor_system(system) is None
 
 
+rationals = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=9), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def factor_systems(draw):
+    """Arbitrary systems on a support, with repeated-coordinate pairs allowed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    support = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    coords = st.sampled_from(sorted(support))
+    pairs = st.tuples(coords, coords, rationals)
+    return FactorConstraintSystem(
+        n=n,
+        support=frozenset(support),
+        zeros=frozenset(draw(st.sets(coords, max_size=2))),
+        equalities=tuple(draw(st.lists(pairs, max_size=3))),
+        inequalities=tuple(draw(st.lists(pairs, max_size=8))),
+    )
+
+
+@st.composite
+def assignment_runs(draw):
+    """A zero-diagonal matrix with inf entries, a zero clique, and entries to assign."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    entry = st.one_of(st.just(INF), rationals.map(abs))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    zeros = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    for i in zeros:
+        for j in zeros:
+            rows[i][j] = Fraction(0)
+    A = SymTropMatrix.from_rows(rows)
+    finite = [(i, j) for i in range(n) for j in range(i + 1, n) if not A[i, j].is_inf]
+    order = draw(st.lists(st.sampled_from(finite), max_size=8)) if finite else []
+    return A, frozenset(zeros), order
+
+
+def kernel_verdict(system):
+    """Feasibility of an arbitrary factor system by the search's integer kernel."""
+    pairs = [(z, z, Fraction(0), upper) for z in system.zeros for upper in (True, False)]
+    pairs += [(i, j, c, upper) for i, j, c in system.equalities for upper in (True, False)]
+    pairs += [(i, j, c, False) for i, j, c in system.inequalities]
+    scale = math.lcm(1, *(c.denominator for _, _, c, _ in pairs))
+    kernel = _Utvpi(system.n)
+    for t in system.support:
+        kernel.add_var(t, ())
+    for i, j, c, upper in pairs:
+        add = kernel.add_upper if upper else kernel.add_lower
+        if not add(i, j, int(c * scale)):
+            return False
+    return True
+
+
+class TestIntegerKernel:
+    """The search's integer UTVPI check against exact Fourier-Motzkin."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(factor_systems())
+    def test_verdict_matches_fourier_motzkin(self, system):
+        assert kernel_verdict(system) == (solve_factor_system(system) is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(assignment_runs())
+    def test_incremental_search_steps_match_fourier_motzkin(self, run):
+        # replays a DFS on one factor: keep feasible assignments, undo the rest
+        A, zeros, order = run
+        scale = 6  # lcm of the denominators 1..3
+        C = [[None if v.is_inf else int(v.finite * scale) for v in row] for row in A.rows()]
+        f = _FactorBuild(zeros, C)
+        support, equalities = set(zeros), []
+        for i, j in order:
+            value = A[i, j].finite
+            trial = support | {i, j}
+            if any(A[s, t].is_inf for s in trial for t in trial):
+                expected = False
+            else:
+                system = FactorConstraintSystem(
+                    n=A.n,
+                    support=frozenset(trial),
+                    zeros=zeros,
+                    equalities=tuple(equalities + [(i, j, value)]),
+                    inequalities=tuple(
+                        (s, t, A[s, t].finite) for s in trial for t in trial if s <= t
+                    ),
+                )
+                expected = solve_factor_system(system) is not None
+            assert f.push(i, j, value, int(value * scale)) == expected
+            if expected:
+                support, equalities = trial, equalities + [(i, j, value)]
+            else:
+                f.pop()
+
+    def test_scaled_half_integer_pin(self):
+        # 2*b_0 = 3/2 and b_0 >= 1 cannot both hold
+        system = FactorConstraintSystem(
+            n=1,
+            support=frozenset({0}),
+            zeros=frozenset(),
+            equalities=((0, 0, Fraction(3, 2)),),
+            inequalities=((0, 0, Fraction(2)),),
+        )
+        assert not kernel_verdict(system)
+        assert solve_factor_system(system) is None
+
+
+class TestSearchCounters:
+    """Counters and certificates of the exact search, pinned from the Fraction FM search."""
+
+    @pytest.mark.parametrize(
+        "make, rank, refuted, nodes, skeletons, refuted_branches",
+        [
+            pytest.param(rank_six_5x5, 6, (5,), 111, 2, 85, id="rank_six_5x5"),
+            pytest.param(
+                lambda: generate_instance(random_pattern_graph(6, 342, 0.5), 1342),
+                5, (3, 4), 204, 8, 153, id="n6_p05_342",
+            ),
+            pytest.param(
+                lambda: generate_instance(random_pattern_graph(6, 476, 0.3), 1476),
+                6, (4, 5), 220, 6, 173, id="n6_p03_476",
+            ),
+            pytest.param(
+                lambda: generate_instance(
+                    random_pattern_graph(5, 1020, 0.3), 2520, inf_probability=0.7
+                ),
+                5, (3, 4), 90, 6, 71, id="n5_inf_1020",
+            ),
+        ],
+    )
+    def test_counters_pinned(self, make, rank, refuted, nodes, skeletons, refuted_branches):
+        got, cert = cp_rank_exact(make())
+        assert (got, cert.refuted) == (rank, refuted)
+        stats = cert.stats
+        assert (stats.nodes, stats.skeletons, stats.refuted_branches) == (
+            nodes,
+            skeletons,
+            refuted_branches,
+        )
+
+    def test_rank_six_certificate_pinned(self):
+        _, cert = cp_rank_exact(rank_six_5x5())
+        assert [[str(e) for e in f] for f in cert.decomposition.factors] == [
+            ["0", "1", "2", "3", "3"],
+            ["inf", "0", "inf", "1", "2"],
+            ["1", "inf", "0", "inf", "inf"],
+            ["inf", "inf", "1", "0", "inf"],
+            ["inf", "1", "inf", "inf", "0"],
+            ["inf", "inf", "0", "inf", "1"],
+        ]
+
+
 class TestBounds:
     def test_rank_six_lower_bound(self):
         assert rank_lower_bound(rank_six_5x5()) == 5
@@ -196,6 +354,31 @@ class TestRankDecision:
         par6 = cp_rank_leq(rank_six_5x5(), 6, threads=2)
         assert par6.found
         assert par6.decomposition.factors == seq6.decomposition.factors
+
+
+def anchor_skeleton_job(deadline):
+    """A parallel-search job for one skeleton of the n = 7 anchor at r = 8 (1094 nodes)."""
+    A = generate_instance(random_pattern_graph(7, 2, 0.3), 102)
+    rows = [[str(e) for e in row] for row in A.rows()]
+    return (rows, 8, ((0, 3), (1,), (2,), (4, 6), (5,)), 10**6, deadline, 0)
+
+
+class TestGuards:
+    def test_merge_sums_wall_time(self):
+        total = SearchStats(wall_time=1.0)
+        total.merge(SearchStats(wall_time=2.0))
+        assert total.wall_time == 3.0
+
+    def test_worker_stops_at_a_past_deadline(self):
+        index, status, serial, stats = _skeleton_worker(
+            anchor_skeleton_job(time.monotonic() - 1.0)
+        )
+        assert (index, status, serial) == (0, "undetermined", None)
+        assert stats.nodes <= 1024
+
+    def test_worker_finishes_before_its_deadline(self):
+        _, status, _, stats = _skeleton_worker(anchor_skeleton_job(time.monotonic() + 300.0))
+        assert (status, stats.nodes) == ("refuted", 1094)
 
 
 class TestExactRank:
