@@ -67,6 +67,7 @@ from .rank import (
     RankSearchOutcome,
     cp_rank_exact,
     cp_rank_leq,
+    fooling_set_bound,
     rank_lower_bound,
     solve_factor_system,
     zero_one_rank,

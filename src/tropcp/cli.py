@@ -10,6 +10,7 @@ when a search ended undetermined under its resource guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -27,10 +28,10 @@ from .formats import (
 )
 from .generators import generate_instance
 from .graphs import (
-    cp_rank_upper_bound,
     diameter,
     diameter_witness_matrix,
     edge_clique_cover_number,
+    is_small_empty_pattern,
     min_cover_bound,
     pattern_graph,
 )
@@ -153,8 +154,10 @@ def cmd_bound(args) -> int:
         return EXIT_PROPERTY_FALSE
     start = time.monotonic()
     C, _ = normalize(A)
-    cover, bound = min_cover_bound(pattern_graph(C))
-    ub = cp_rank_upper_bound(C)
+    G = pattern_graph(C)
+    cover, bound = min_cover_bound(G)
+    # cp_rank_upper_bound, reusing this cover search
+    ub = G.n if is_small_empty_pattern(G) else bound
     report = make_report(
         "bound",
         matrix_digest(A),
@@ -199,12 +202,13 @@ def cmd_rank(args) -> int:
         r_max=args.max_r,
         node_limit=args.node_limit,
         timeout_s=args.timeout_s,
-        threads=args.threads,
+        threads=threads_from_env() if args.threads is None else args.threads,
     )
     payload = {
         "status": cert.status,
         "rank": ("inf" if rank == float("inf") else rank),
         "refuted": list(cert.refuted),
+        "refuted_by": list(cert.refuted_by),
         "undetermined_at": cert.undetermined_at,
     }
     if cert.decomposition is not None:
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=threads_from_env(),
+        default=None,
         help="parallel skeleton branches (default: TROPCP_THREADS or 1)",
     )
 
@@ -356,9 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser as it was, and no default depends
+# on the environment (--threads reads TROPCP_THREADS in cmd_rank)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _InputError as exc:

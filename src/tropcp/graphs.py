@@ -347,15 +347,21 @@ def min_clique_cover_size(G: PatternGraph) -> int:
     return best
 
 
+def is_small_empty_pattern(G: PatternGraph) -> bool:
+    """The known exception to the cover bound: on an empty pattern with up to
+    four vertices the CP-rank equals the dimension exactly."""
+    return not G.edges and G.n <= 4
+
+
 def cp_rank_upper_bound(A: SymTropMatrix) -> int:
     """Best clique-cover rank bound for a normalized CP matrix.
 
-    The empty pattern on up to four vertices is the known exception where
-    the CP-rank equals the dimension exactly, bypassing the cover bound.
+    The small empty pattern (`is_small_empty_pattern`) bypasses the cover
+    bound with the dimension.
     """
     require_normalized(A)
     G = pattern_graph(A)
-    if not G.edges and G.n <= 4:
+    if is_small_empty_pattern(G):
         return G.n
     return min_cover_bound(G)[1]
 

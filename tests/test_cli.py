@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from tropcp import parse_matrix, verify_decomposition
+import tropcp.cli
+from tropcp import SymTropMatrix, normalize, parse_matrix, verify_decomposition
 from tropcp.cli import main
-from tropcp.corpus import paw_matrix, rank_six_5x5
+from tropcp.corpus import flat_3x3, paw_matrix, rank_six_5x5, star6_matrix
 from tropcp.formats import render_graph, render_matrix
-from tropcp.graphs import PatternGraph
+from tropcp.graphs import PatternGraph, cp_rank_upper_bound, min_cover_bound, pattern_graph
 from tropcp.reports import load_decomposition
 
 
@@ -86,6 +87,32 @@ class TestGraphAndBound:
         assert report["payload"]["upper_bound"] == 2
         assert report["payload"]["cover"] == [[1, 2, 3], [4]]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            paw_matrix,
+            flat_3x3,
+            rank_six_5x5,
+            star6_matrix,
+            lambda: SymTropMatrix.from_upper_func(3, lambda i, j: 0 if i == j else 1),
+            lambda: SymTropMatrix.from_upper_func(5, lambda i, j: 0 if i == j else 1),
+        ],
+        ids=["paw", "flat", "rank_six", "star6", "empty3", "empty5"],
+    )
+    def test_bound_fields_match_the_library(self, capsys, tmp_path, make):
+        A = make()
+        path = tmp_path / "a.tmat"
+        path.write_text(render_matrix(A))
+        code, report = run_json(capsys, "bound", str(path))
+        C, _ = normalize(A)
+        cover, bound = min_cover_bound(pattern_graph(C))
+        payload = report["payload"]
+        assert code == 0
+        assert payload["upper_bound"] == cp_rank_upper_bound(C)
+        assert payload["cover_bound"] == bound
+        assert payload["cover"] == [[v + 1 for v in c] for c in cover.cliques]
+        assert payload["empty_pattern_exception"] == (cp_rank_upper_bound(C) != bound)
+
 
 class TestDecomposeAndRank:
     def test_decompose_report_reverifies(self, capsys, paw_file):
@@ -102,9 +129,28 @@ class TestDecomposeAndRank:
         assert code == 0
         assert report["payload"]["rank"] == 6
         assert report["payload"]["refuted"] == [5]
+        assert report["payload"]["refuted_by"] == ["bound"]
         dec = load_decomposition(report["payload"]["decomposition"])
         assert dec.rank == 6
         assert report["stats"]["nodes"] > 0
+
+    def test_threads_env_read_at_each_call(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "paw.tmat"
+        path.write_text(render_matrix(paw_matrix(1, 2)))
+        real = tropcp.cli.cp_rank_exact
+        seen = []
+
+        def recording(A, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(A, **{**kwargs, "threads": 1})
+
+        monkeypatch.setattr(tropcp.cli, "cp_rank_exact", recording)
+        monkeypatch.delenv("TROPCP_THREADS", raising=False)
+        assert run(capsys, "rank", str(path))[0] == 0
+        monkeypatch.setenv("TROPCP_THREADS", "2")
+        assert run(capsys, "rank", str(path))[0] == 0
+        assert run(capsys, "rank", str(path), "--threads", "1")[0] == 0
+        assert seen == [1, 2, 1]
 
     def test_rank_undetermined_exit_three(self, capsys, tmp_path):
         path = tmp_path / "r6.tmat"

@@ -1,5 +1,6 @@
 """Feasibility solver, bounds, and the exact CP-rank search."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from tropcp import (
     cp_rank_leq,
     cp_rank_upper_bound,
     edge_clique_cover_number,
+    fooling_set_bound,
     normalize,
     pattern_graph,
     rank_lower_bound,
@@ -33,7 +35,14 @@ from tropcp.corpus import (
     star6_matrix,
 )
 from tropcp.generators import generate_instance, random_pattern_graph
-from tropcp.rank import SearchStats, _FactorBuild, _skeleton_worker, _Utvpi
+from tropcp.rank import (
+    SearchStats,
+    _conflict,
+    _FactorBuild,
+    _scaled,
+    _skeleton_worker,
+    _Utvpi,
+)
 
 from oracles import brute_cp_rank
 
@@ -263,6 +272,143 @@ class TestIntegerKernel:
         assert solve_factor_system(system) is None
 
 
+@st.composite
+def normalized_matrices(draw):
+    """Zero-diagonal matrices with rational entries, one in five of them inf."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    # inf is rare so that most pairs of entries span only finite ones
+    entry = st.tuples(st.integers(0, 4), rationals.map(abs)).map(
+        lambda t: INF if t[0] == 0 else t[1]
+    )
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return SymTropMatrix.from_rows(rows)
+
+
+@st.composite
+def entry_pairs(draw):
+    """A normalized matrix and two distinct finite entries (i <= j), if it has two."""
+    A = draw(normalized_matrices())
+    n = A.n
+    finite = [(i, j) for i in range(n) for j in range(i, n) if not A[i, j].is_inf]
+    e = draw(st.sampled_from(finite))
+    f = draw(st.sampled_from([g for g in finite if g != e] or [e]))
+    return A, e, f
+
+
+def pair_system(A, e, f):
+    """The factor system on {i, j, k, l} attaining both entries, or None when it has an inf."""
+    S = sorted(set(e) | set(f))
+    if any(A[s, t].is_inf for s in S for t in S):
+        return None
+    return FactorConstraintSystem(
+        n=A.n,
+        support=frozenset(S),
+        zeros=frozenset(),
+        equalities=((*e, A[e].finite), (*f, A[f].finite)),
+        inequalities=tuple((s, t, A[s, t].finite) for s in S for t in S if s <= t),
+    )
+
+
+def conflict_by_fm(A, e, f):
+    system = pair_system(A, e, f)
+    return system is None or solve_factor_system(system) is None
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Normalized matrices with entries 0, 1, 2 and inf, for the brute-force oracle."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.sampled_from([0, 1, 2, "inf"])
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return SymTropMatrix.from_rows(rows)
+
+
+def n7_p03_349():
+    """The one catalogue instance whose fooling-set bound (6) is below its rank (7)."""
+    return generate_instance(random_pattern_graph(7, 349, 0.3), 1349)
+
+
+class TestFoolingSetBound:
+    """The conflict check, the bound, and the sweep that starts at it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(entry_pairs())
+    def test_conflict_matches_kernel_and_fourier_motzkin(self, pair):
+        A, e, f = pair
+        if e == f:
+            return
+        C, _ = _scaled(A)
+        system = pair_system(A, e, f)
+        expected = system is None or not kernel_verdict(system)
+        assert expected == conflict_by_fm(A, e, f)
+        assert _conflict(C, e, f) == _conflict(C, f, e) == expected
+
+    def test_disjoint_conflict_on_every_small_matrix(self):
+        # entries (0, 1) and (2, 3) leave two free coordinates; each bound of
+        # that closed form decides some of these 4,096 matrices alone
+        conflicts = 0
+        for values in itertools.product(range(4), repeat=6):
+            rows = [[0] * 4 for _ in range(4)]
+            for (i, j), v in zip(itertools.combinations(range(4), 2), values):
+                rows[i][j] = rows[j][i] = v
+            A = SymTropMatrix.from_rows(rows)
+            got = _conflict(_scaled(A)[0], (0, 1), (2, 3))
+            assert got == (not kernel_verdict(pair_system(A, (0, 1), (2, 3))))
+            conflicts += got
+        assert 0 < conflicts < 4096
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_integer_matrices())
+    def test_bound_is_at_most_the_oracle_rank(self, A):
+        size, entries = fooling_set_bound(A)
+        assert size == len(entries) <= brute_cp_rank(A, 8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(normalized_matrices())
+    def test_entries_pairwise_conflict(self, A):
+        size, entries = fooling_set_bound(A)
+        assert size >= 1 and entries == tuple(sorted(entries))
+        for a, e in enumerate(entries):
+            assert not A[e].is_inf
+            for f in entries[a + 1:]:
+                assert conflict_by_fm(A, e, f)
+
+    def test_rank_six_bound_is_its_rank(self):
+        assert fooling_set_bound(rank_six_5x5()) == (
+            6,
+            ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)),
+        )
+
+    def test_diagonal_entries_conflict_off_the_pattern(self):
+        # the empty pattern: every pair of diagonal zeros conflicts
+        A = SymTropMatrix.from_upper_func(4, lambda i, j: 0 if i == j else 1)
+        assert fooling_set_bound(A) == (4, ((0, 0), (1, 1), (2, 2), (3, 3)))
+
+    def test_rejects_non_normalized(self):
+        with pytest.raises(ValueError):
+            fooling_set_bound(rank_one_shifted_3x3())
+
+    def test_r_max_below_the_bound_is_undetermined(self):
+        rank, cert = cp_rank_exact(rank_six_5x5(), r_max=5)
+        assert (rank, cert.status) == (None, "undetermined")
+        assert (cert.refuted, cert.refuted_by, cert.undetermined_at) == ((5,), ("bound",), 6)
+        assert cert.stats.nodes == 0
+        for r_max in (4, 2):  # rank_lower_bound is 5
+            _, cert = cp_rank_exact(rank_six_5x5(), r_max=r_max)
+            assert (cert.refuted, cert.refuted_by, cert.undetermined_at) == ((), (), r_max + 1)
+
+    def test_guard_after_the_bound_keeps_its_refutations(self):
+        rank, cert = cp_rank_exact(n7_p03_349(), node_limit=100)
+        assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 6)
+        assert (cert.refuted, cert.refuted_by) == ((5,), ("bound",))
+
+
 class TestSearchCounters:
     """Counters and certificates of the exact search, pinned from the Fraction FM search."""
 
@@ -287,8 +433,46 @@ class TestSearchCounters:
         ],
     )
     def test_counters_pinned(self, make, rank, refuted, nodes, skeletons, refuted_branches):
+        # replays the sweep from rank_lower_bound that searched every r
         got, cert = cp_rank_exact(make())
         assert (got, cert.refuted) == (rank, refuted)
+        C, _ = normalize(make())
+        stats = SearchStats()
+        for r in range(rank_lower_bound(C), rank + 1):
+            stats.merge(cp_rank_leq(C, r).stats)
+        assert (stats.nodes, stats.skeletons, stats.refuted_branches) == (
+            nodes,
+            skeletons,
+            refuted_branches,
+        )
+
+    @pytest.mark.parametrize(
+        "make, refuted_by, nodes, skeletons, refuted_branches",
+        [
+            pytest.param(rank_six_5x5, ("bound",), 26, 1, 16, id="rank_six_5x5"),
+            pytest.param(
+                lambda: generate_instance(random_pattern_graph(6, 342, 0.5), 1342),
+                ("bound", "bound"), 33, 1, 18, id="n6_p05_342",
+            ),
+            pytest.param(
+                lambda: generate_instance(random_pattern_graph(6, 476, 0.3), 1476),
+                ("bound", "bound"), 38, 1, 23, id="n6_p03_476",
+            ),
+            pytest.param(
+                lambda: generate_instance(
+                    random_pattern_graph(5, 1020, 0.3), 2520, inf_probability=0.7
+                ),
+                ("bound", "bound"), 12, 1, 8, id="n5_inf_1020",
+            ),
+            pytest.param(n7_p03_349, ("bound", "search"), 2143, 11, 1786, id="n7_p03_349"),
+        ],
+    )
+    def test_default_sweep_counters_pinned(
+        self, make, refuted_by, nodes, skeletons, refuted_branches
+    ):
+        # the sweep starts at the fooling-set bound and searches from there
+        _, cert = cp_rank_exact(make())
+        assert cert.refuted_by == refuted_by
         stats = cert.stats
         assert (stats.nodes, stats.skeletons, stats.refuted_branches) == (
             nodes,
