@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="parallel skeleton branches (default: TROPCP_THREADS or 1)",
+        help="accepted; the search runs serially (default: TROPCP_THREADS or 1)",
     )
 
     p = add("cc", cmd_cc, "exact edge clique cover number")

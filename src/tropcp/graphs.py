@@ -100,39 +100,10 @@ def pattern_graph(A: SymTropMatrix) -> PatternGraph:
     )
 
 
-def diameter(G: PatternGraph) -> int | float:
-    """Largest shortest-path distance; inf when disconnected; 0 for n=1."""
-    masks = G.adjacency_masks()
-    worst = 0
-    for src in range(G.n):
-        dist = {src: 0}
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                m = masks[u]
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if v not in dist:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        if len(dist) < G.n:
-            return float("inf")
-        worst = max(worst, max(dist.values()))
-    return worst
-
-
-def distance(G: PatternGraph, a: int, b: int) -> int | float:
-    """Shortest-path distance between two vertices; inf if unreachable."""
-    if a == b:
-        return 0
-    masks = G.adjacency_masks()
-    dist = {a: 0}
-    frontier = [a]
+def _distances(masks: list[int], src: int) -> dict[int, int]:
+    """Breadth-first distances from src to every vertex it reaches."""
+    dist = {src: 0}
+    frontier = [src]
     d = 0
     while frontier:
         d += 1
@@ -143,12 +114,27 @@ def distance(G: PatternGraph, a: int, b: int) -> int | float:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
                 if v not in dist:
-                    if v == b:
-                        return d
                     dist[v] = d
                     nxt.append(v)
         frontier = nxt
-    return float("inf")
+    return dist
+
+
+def diameter(G: PatternGraph) -> int | float:
+    """Largest shortest-path distance; inf when disconnected; 0 for n=1."""
+    masks = G.adjacency_masks()
+    worst = 0
+    for src in range(G.n):
+        dist = _distances(masks, src)
+        if len(dist) < G.n:
+            return float("inf")
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
+def distance(G: PatternGraph, a: int, b: int) -> int | float:
+    """Shortest-path distance between two vertices; inf if unreachable."""
+    return _distances(G.adjacency_masks(), a).get(b, float("inf"))
 
 
 def induced_subgraph(G: PatternGraph, vertices: Iterable[int]) -> PatternGraph:
@@ -256,13 +242,8 @@ def _cliques_containing(v: int, allowed: int, masks: list[int]) -> list[tuple[in
 
 
 def max_clique_size(G: PatternGraph) -> int:
-    masks = G.adjacency_masks()
-    best = 0
-    for v in range(G.n):
-        allowed = (1 << G.n) - 1
-        for c in _cliques_containing(v, allowed, masks):
-            best = max(best, len(c))
-    return best
+    # maximal_cliques lists the largest first
+    return len(maximal_cliques(G)[0])
 
 
 def min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:

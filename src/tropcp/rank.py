@@ -615,13 +615,16 @@ def cp_rank_leq(
     Returns a verified decomposition on success (padding factors that stay
     all-infinite are dropped), a complete refutation after exhausting every
     zero-set skeleton and assignment, or an undetermined report when the
-    node limit or timeout was hit first.
+    node limit or timeout was hit first (the clock is read every 1,024
+    nodes).
+
+    Skeletons are searched in canonical order, and the search stops at the
+    first one that admits a decomposition.  `threads` is accepted; the
+    search runs serially.
     """
     require_normalized(A)
     if r < 1:
         raise ValueError("r must be >= 1")
-    if threads > 1:
-        return _cp_rank_leq_parallel(A, r, node_limit, timeout_s, threads)
     G = pattern_graph(A)
     masks = G.adjacency_masks()
     reqs = _finite_offdiag_requirements(A)
@@ -641,69 +644,6 @@ def cp_rank_leq(
     stats.nodes = budget.nodes
     stats.wall_time = time.monotonic() - start
     return RankSearchOutcome(status, r, dec, stats)
-
-
-def _skeleton_worker(args) -> tuple[int, str, Optional[list[list[str]]], SearchStats]:
-    rows, r, parts, node_limit, deadline, index = args
-    A = SymTropMatrix.from_rows(rows)
-    reqs = _finite_offdiag_requirements(A)
-    budget = _Budget(node_limit, deadline - time.monotonic())
-    stats = SearchStats(skeletons=1)
-    start = time.monotonic()
-    try:
-        vectors = _search_skeleton(A, r, parts, reqs, budget, stats)
-        status = REFUTED if vectors is None else FOUND
-    except _Guard:
-        status, vectors = UNDETERMINED, None
-    stats.nodes = budget.nodes
-    stats.wall_time = time.monotonic() - start
-    serial = None if vectors is None else [[str(e) for e in vec] for vec in vectors]
-    return index, status, serial, stats
-
-
-def _cp_rank_leq_parallel(
-    A: SymTropMatrix, r: int, node_limit: int, timeout_s: float, threads: int
-) -> RankSearchOutcome:
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return cp_rank_leq(A, r, node_limit, timeout_s, threads=1)
-
-    G = pattern_graph(A)
-    masks = G.adjacency_masks()
-    skeletons = list(_clique_partitions(masks, A.n, r))
-    if len(skeletons) <= 1:
-        return cp_rank_leq(A, r, node_limit, timeout_s, threads=1)
-    rows = [[str(e) for e in row] for row in A.rows()]
-    per_branch_nodes = max(1, node_limit // max(1, len(skeletons)))
-    # one deadline for the whole decision: each job gets what is left of it
-    deadline = time.monotonic() + timeout_s
-    jobs = [
-        (rows, r, parts, per_branch_nodes, deadline, idx)
-        for idx, parts in enumerate(skeletons)
-    ]
-    stats = SearchStats()
-    start = time.monotonic()
-    results: dict[int, tuple[str, Optional[list[list[str]]]]] = {}
-    with ctx.Pool(processes=threads) as pool:
-        for index, status, serial, branch_stats in pool.imap_unordered(
-            _skeleton_worker, jobs
-        ):
-            stats.merge(branch_stats)
-            results[index] = (status, serial)
-    stats.wall_time = time.monotonic() - start
-    # Deterministic reduction: the canonically first successful skeleton wins.
-    for idx in sorted(results):
-        status, serial = results[idx]
-        if status == FOUND:
-            factors = [TropVector(entries) for entries in serial]
-            dec = Decomposition(A, factors)
-            return RankSearchOutcome(FOUND, r, dec, stats)
-    if any(status == UNDETERMINED for status, _ in results.values()):
-        return RankSearchOutcome(UNDETERMINED, r, None, stats)
-    return RankSearchOutcome(REFUTED, r, None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -765,17 +705,21 @@ def _conflict(C: list[list[Optional[int]]], e: tuple[int, int], f: tuple[int, in
     return lo > hi
 
 
-def _max_clique(adj: list[int]) -> list[int]:
+def _max_clique(adj: list[int], deadline: float) -> list[int]:
     """A maximum clique of the graph with bitset rows adj, by branch and bound.
 
     Candidates are greedily coloured, and a branch closes when the clique
-    so far plus the colours left cannot beat the best one found.
+    so far plus the colours left cannot beat the best one found.  Past the
+    deadline (a `time.monotonic()` value) the search stops and returns the
+    largest clique found so far.
     """
     best: list[int] = []
     clique: list[int] = []
 
     def expand(cand: int) -> None:
         nonlocal best
+        if time.monotonic() > deadline:
+            raise _Guard
         order: list[tuple[int, int]] = []
         uncoloured, colour = cand, 0
         while uncoloured:
@@ -798,11 +742,16 @@ def _max_clique(adj: list[int]) -> list[int]:
             clique.pop()
             cand &= ~(1 << v)
 
-    expand((1 << len(adj)) - 1)
+    try:
+        expand((1 << len(adj)) - 1)
+    except _Guard:
+        pass
     return sorted(best)
 
 
-def fooling_set_bound(A: SymTropMatrix) -> tuple[int, tuple[tuple[int, int], ...]]:
+def fooling_set_bound(
+    A: SymTropMatrix, timeout_s: float = math.inf
+) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Fooling-set lower bound for a normalized CP matrix: (size, entries).
 
     Two finite entries conflict when no single factor attains both (see
@@ -815,8 +764,12 @@ def fooling_set_bound(A: SymTropMatrix) -> tuple[int, tuple[tuple[int, int], ...
     nonnegative rank.  It does not dominate `rank_lower_bound` (on the
     diagonal alone the conflict graph is the complement of the pattern
     graph), so `cp_rank_exact` takes the max of the two.
+
+    After `timeout_s` the clique search stops and the largest conflicting
+    set found so far is returned: a smaller bound, but still a sound one.
     """
     require_normalized(A)
+    deadline = time.monotonic() + timeout_s
     C, _ = _scaled(A)
     entries = [(i, j) for i in range(A.n) for j in range(i, A.n) if C[i][j] is not None]
     adj = [0] * len(entries)
@@ -825,7 +778,7 @@ def fooling_set_bound(A: SymTropMatrix) -> tuple[int, tuple[tuple[int, int], ...
             if _conflict(C, e, entries[b]):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    fooling = tuple(entries[v] for v in _max_clique(adj))
+    fooling = tuple(entries[v] for v in _max_clique(adj, deadline))
     return len(fooling), fooling
 
 
@@ -850,7 +803,12 @@ def cp_rank_exact(
     the range already refuted; it is never a guess.  `refuted` runs from
     `rank_lower_bound`; `refuted_by` says for each r whether the
     fooling-set bound or a complete search refuted it.
+
+    `timeout_s` and `node_limit` bound the whole call: the fooling-set
+    bound and each `cp_rank_leq(r)` get what is left of one deadline and
+    one node budget.  `threads` is accepted; the search runs serially.
     """
+    deadline = time.monotonic() + timeout_s
     stats = SearchStats()
     if all(v.is_inf for _, _, v in A.upper_entries()):
         dec = Decomposition(A, [])
@@ -864,13 +822,16 @@ def cp_rank_exact(
         r_max = default_rank_cap(C.n)
     # every r below the fooling-set bound is refuted without a search
     lower = rank_lower_bound(C)
-    fooling, _ = fooling_set_bound(C)
+    fooling, _ = fooling_set_bound(C, timeout_s=deadline - time.monotonic())
     refuted = list(range(lower, min(fooling, r_max + 1)))
     refuted_by = ["bound"] * len(refuted)
     r = lower + len(refuted)
     while r <= r_max:
         outcome = cp_rank_leq(
-            C, r, node_limit=node_limit, timeout_s=timeout_s, threads=threads
+            C,
+            r,
+            node_limit=node_limit - stats.nodes,
+            timeout_s=deadline - time.monotonic(),
         )
         stats.merge(outcome.stats)
         if outcome.found:
@@ -915,7 +876,10 @@ def zero_one_rank(A: SymTropMatrix) -> int:
 
 
 def threads_from_env(default: int = 1) -> int:
-    """Default worker count for searches, from TROPCP_THREADS."""
+    """The `--threads` default, from TROPCP_THREADS.
+
+    Accepted for `cp_rank_exact`'s `threads`; the search runs serially.
+    """
     raw = os.environ.get("TROPCP_THREADS")
     if not raw:
         return default

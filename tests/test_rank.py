@@ -37,10 +37,13 @@ from tropcp.corpus import (
 from tropcp.generators import generate_instance, random_pattern_graph
 from tropcp.rank import (
     SearchStats,
+    _Budget,
     _conflict,
     _FactorBuild,
+    _finite_offdiag_requirements,
+    _Guard,
     _scaled,
-    _skeleton_worker,
+    _search_skeleton,
     _Utvpi,
 )
 
@@ -531,20 +534,26 @@ class TestRankDecision:
         assert out.decomposition is None
 
     def test_parallel_matches_sequential(self):
-        seq5 = cp_rank_leq(rank_six_5x5(), 5)
-        par5 = cp_rank_leq(rank_six_5x5(), 5, threads=2)
-        assert seq5.status == par5.status == "refuted"
-        seq6 = cp_rank_leq(rank_six_5x5(), 6)
-        par6 = cp_rank_leq(rank_six_5x5(), 6, threads=2)
-        assert par6.found
-        assert par6.decomposition.factors == seq6.decomposition.factors
+        # threads is accepted and the search runs serially: same outcome and counters
+        for A, rank in ((rank_six_5x5(), 6), (n7_p03_349(), 7)):
+            for r, status in ((rank - 1, "refuted"), (rank, "found")):
+                seq = cp_rank_leq(A, r)
+                par = cp_rank_leq(A, r, threads=2)
+                assert seq.status == par.status == status
+                assert (seq.stats.nodes, seq.stats.skeletons, seq.stats.refuted_branches) == (
+                    par.stats.nodes,
+                    par.stats.skeletons,
+                    par.stats.refuted_branches,
+                )
+                if status == "found":
+                    assert par.decomposition.factors == seq.decomposition.factors
 
 
-def anchor_skeleton_job(deadline):
-    """A parallel-search job for one skeleton of the n = 7 anchor at r = 8 (1094 nodes)."""
+def search_anchor_skeleton(budget):
+    """The serial search of one skeleton of the n = 7 anchor at r = 8 (1094 nodes)."""
     A = generate_instance(random_pattern_graph(7, 2, 0.3), 102)
-    rows = [[str(e) for e in row] for row in A.rows()]
-    return (rows, 8, ((0, 3), (1,), (2,), (4, 6), (5,)), 10**6, deadline, 0)
+    parts = ((0, 3), (1,), (2,), (4, 6), (5,))
+    return _search_skeleton(A, 8, parts, _finite_offdiag_requirements(A), budget, SearchStats())
 
 
 class TestGuards:
@@ -553,16 +562,42 @@ class TestGuards:
         total.merge(SearchStats(wall_time=2.0))
         assert total.wall_time == 3.0
 
-    def test_worker_stops_at_a_past_deadline(self):
-        index, status, serial, stats = _skeleton_worker(
-            anchor_skeleton_job(time.monotonic() - 1.0)
-        )
-        assert (index, status, serial) == (0, "undetermined", None)
-        assert stats.nodes <= 1024
+    def test_skeleton_search_stops_at_a_past_deadline(self):
+        budget = _Budget(10**6, -1.0)
+        with pytest.raises(_Guard):
+            search_anchor_skeleton(budget)
+        assert budget.nodes <= 1024
 
-    def test_worker_finishes_before_its_deadline(self):
-        _, status, _, stats = _skeleton_worker(anchor_skeleton_job(time.monotonic() + 300.0))
-        assert (status, stats.nodes) == ("refuted", 1094)
+    def test_skeleton_search_finishes_before_its_deadline(self):
+        budget = _Budget(10**6, 300.0)
+        assert search_anchor_skeleton(budget) is None
+        assert budget.nodes == 1094
+
+    def test_exact_bounds_stop_at_the_deadline(self):
+        # the fooling-set clique search alone takes about 2 s here
+        A = generate_instance(
+            random_pattern_graph(22, 2, 0.3), 102, max_numerator=3, max_denominator=1
+        )
+        start = time.monotonic()
+        rank, cert = cp_rank_exact(A, timeout_s=0.05)
+        assert time.monotonic() - start < 0.5
+        assert (rank, cert.status) == (None, "undetermined")
+        # a clique search cut short still returns pairwise conflicting entries
+        C, _ = _scaled(A)
+        for timeout_s in (0.0, 0.1):
+            size, entries = fooling_set_bound(A, timeout_s=timeout_s)
+            assert size == len(entries) < 32
+            assert all(_conflict(C, e, f) for e, f in itertools.combinations(entries, 2))
+
+    def test_exact_sweep_shares_one_node_limit(self):
+        # r = 6 is refuted in 2,064 nodes and r = 7 found in 79: each fits the
+        # limit alone, but the sweep has one budget for both
+        A = n7_p03_349()
+        assert [cp_rank_leq(A, r).stats.nodes for r in (6, 7)] == [2064, 79]
+        rank, cert = cp_rank_exact(A, node_limit=2100)
+        assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 7)
+        assert cert.refuted_by == ("bound", "search")
+        assert cert.stats.nodes == 2100 + 1  # the guard counts the node it stops at
 
 
 class TestExactRank:
