@@ -56,6 +56,7 @@ from .decompose import (
     construct_decomposition_detailed,
     cross_block,
     decompose_cp,
+    decompose_cp_detailed,
     empty_pattern_01_decomposition,
     make_block_plan,
     singleton_link_block,

@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import __version__
 from .analysis import is_completely_positive, normalize
-from .decompose import decompose_cp
+from .decompose import decompose_cp_detailed
 from .formats import (
     ParseError,
     parse_graph,
@@ -179,7 +179,7 @@ def cmd_decompose(args) -> int:
         print("input is not completely positive", file=sys.stderr)
         return EXIT_PROPERTY_FALSE
     start = time.monotonic()
-    dec = decompose_cp(A)
+    dec, (_, blocks, tail_mode) = decompose_cp_detailed(A)
     report = make_report(
         "decompose",
         matrix_digest(A),
@@ -187,6 +187,8 @@ def cmd_decompose(args) -> int:
             "decomposition": embed_decomposition(dec),
             "factor_count": dec.rank,
             "verified": True,
+            "blocks": list(blocks),
+            "tail_mode": tail_mode,
         },
         timing_s=time.monotonic() - start,
     )

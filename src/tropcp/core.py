@@ -11,9 +11,10 @@ load-bearing.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rationalish = Union["TropScalar", Fraction, int, str, float]
 
@@ -283,14 +284,66 @@ def reconstruct(factors: Sequence[TropVector], n: int) -> SymTropMatrix:
     return trop_matrix_sum([rank_one_product(b) for b in factors])
 
 
+def scaled_rows(A: SymTropMatrix) -> tuple[list[list[Optional[int]]], int]:
+    """A's rows times the lcm of its denominators (ints, None for inf), and that lcm.
+
+    The exact integer form of the search kernels: scaling by a positive
+    integer keeps every sum, order and equality between entries.
+    """
+    values = [e._v for e in A._upper]
+    scale = math.lcm(1, *{v.denominator for v in values if v is not None})
+    upper = [
+        None if v is None else v.numerator * (scale // v.denominator) for v in values
+    ]
+    n = A.n
+    return [[upper[A._idx(i, j)] for j in range(n)] for i in range(n)], scale
+
+
 def is_exact_decomposition(
     target: SymTropMatrix, factors: Sequence[TropVector]
 ) -> bool:
-    """True iff the factors' tropical sum equals the target entrywise."""
-    for b in factors:
-        if len(b) != target.n:
-            return False
-    return reconstruct(factors, target.n) == target
+    """True iff the factors' tropical sum equals the target entrywise.
+
+    Agrees with ``reconstruct(factors, target.n) == target`` (and is False
+    for a factor of the wrong length) without building any matrix: target
+    and factors are scaled to ints by the lcm of all their denominators,
+    and each upper entry (i, j) is compared with the minimum of
+    b_i + b_j over the factors finite at both i and j, stopping at the
+    first mismatch.
+    """
+    n = target.n
+    if any(len(b) != n for b in factors):
+        return False
+    values = [[e._v for e in b._entries] for b in factors]
+    scale = math.lcm(
+        1,
+        *{v.denominator for e in target._upper if (v := e._v) is not None},
+        *{v.denominator for vec in values for v in vec if v is not None},
+    )
+
+    def scaled(v: Optional[Fraction]) -> Optional[int]:
+        return None if v is None else v.numerator * (scale // v.denominator)
+
+    # coordinate -> (per-factor scaled values, bitmask of factors finite there)
+    columns = []
+    for i in range(n):
+        col = [scaled(vec[i]) for vec in values]
+        mask = sum(1 << f for f, x in enumerate(col) if x is not None)
+        columns.append((col, mask))
+    entries = iter(target._upper)
+    for i, (col_i, mask_i) in enumerate(columns):
+        for col_j, mask_j in columns[i:]:
+            m = mask_i & mask_j
+            best = None
+            while m:
+                f = (m & -m).bit_length() - 1
+                m &= m - 1
+                s = col_i[f] + col_j[f]
+                if best is None or s < best:
+                    best = s
+            if best != scaled(next(entries)._v):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

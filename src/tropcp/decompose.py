@@ -21,6 +21,7 @@ was actually achieved and the result is verified exactly on construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,8 +32,9 @@ from .core import (
     SymTropMatrix,
     TropScalar,
     TropVector,
+    scaled_rows,
 )
-from .graphs import CliqueCover, min_cover_bound, pattern_graph
+from .graphs import CliqueCover, PatternGraph, min_cover_bound, pattern_graph
 
 TAIL_EMPTY = "empty"
 TAIL_CLOSED = "closed-form"
@@ -101,11 +103,11 @@ def reduce_to_partition(cover: CliqueCover, n: int) -> CliqueCover:
     return CliqueCover(parts)
 
 
-def make_block_plan(A: SymTropMatrix, cover: CliqueCover) -> BlockPlan:
-    G = pattern_graph(A)
+def make_block_plan(G: PatternGraph, cover: CliqueCover) -> BlockPlan:
+    """The block plan of a vertex clique cover of the pattern graph G."""
     if not cover.covers(G):
         raise ValueError("not a valid vertex clique cover of the pattern graph")
-    partition = reduce_to_partition(cover, A.n)
+    partition = reduce_to_partition(cover, G.n)
     cliques = [c for c in partition.cliques if len(c) >= 2]
     singles = [c[0] for c in partition.cliques if len(c) == 1]
     perm = tuple(v for c in cliques for v in c) + tuple(singles)
@@ -176,16 +178,17 @@ def singleton_link_block(B: SymTropMatrix, plan: BlockPlan) -> list[list[TropSca
     return out
 
 
-def _dominates(B: SymTropMatrix, vec: Sequence[TropScalar]) -> bool:
-    """No undercut: vec's outer product is >= B wherever vec is finite."""
-    finite = [t for t, e in enumerate(vec) if not e.is_inf]
-    for a in range(len(finite)):
-        for b in range(a, len(finite)):
-            s, t = finite[a], finite[b]
-            target = B[s, t]
-            if target.is_inf:
-                return False
-            if vec[s].finite + vec[t].finite < target.finite:
+def _dominates(C: list[list[Optional[int]]], vec: Sequence[Optional[int]]) -> bool:
+    """No undercut: vec's outer product is >= C wherever vec is finite.
+
+    C and vec are scaled to ints on one grid, with None for infinity.
+    """
+    finite = [(t, x) for t, x in enumerate(vec) if x is not None]
+    for a, (s, xs) in enumerate(finite):
+        row = C[s]
+        for t, xt in finite[a:]:
+            target = row[t]
+            if target is None or xs + xt < target:
                 return False
     return True
 
@@ -196,23 +199,50 @@ def _merge_pass(
     """Greedily fuse vector pairs while the fused vector still dominates B.
 
     Entrywise minimum keeps every entry the originals attained (it can only
-    attain more), so domination is the only condition to recheck.
+    attain more), so domination is the only condition to recheck.  Each
+    step fuses the first dominating pair (a, b), a < b, in scan order into
+    position a and deletes b.
+
+    A fused vector has only smaller or more finite entries than either
+    original, so a pair that fails keeps failing once either of its
+    vectors is fused further.  Every pair before (a, b) in scan order
+    failed and still fails after the merge, so the next dominating pair
+    is at (a, b) or later: the scan resumes there instead of restarting,
+    and makes the same merges.  The work is on exact ints: B and the
+    vectors are scaled once by the lcm of all their denominators, and
+    the results are mapped back to the input scalars on return.
     """
-    vecs = [list(v) for v in vectors]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                merged = [x + y for x, y in zip(vecs[a], vecs[b])]
-                if _dominates(B, merged):
-                    vecs[a] = merged
-                    del vecs[b]
-                    changed = True
-                    break
-            if changed:
-                break
-    return vecs
+    C, scale = scaled_rows(B)
+    grid = math.lcm(
+        scale, *{e.finite.denominator for v in vectors for e in v if not e.is_inf}
+    )
+    if grid != scale:
+        C = [[None if x is None else x * (grid // scale) for x in row] for row in C]
+    scalars: dict[Optional[int], TropScalar] = {None: INF}
+
+    def to_int(e: TropScalar) -> Optional[int]:
+        if e.is_inf:
+            return None
+        x = e.finite.numerator * (grid // e.finite.denominator)
+        scalars[x] = e
+        return x
+
+    vecs = [[to_int(e) for e in v] for v in vectors]
+    a = 0
+    while a < len(vecs):
+        b = a + 1
+        while b < len(vecs):
+            merged = [
+                y if x is None else x if y is None or x <= y else y
+                for x, y in zip(vecs[a], vecs[b])
+            ]
+            if _dominates(C, merged):
+                vecs[a] = merged
+                del vecs[b]
+            else:
+                b += 1
+        a += 1
+    return [[scalars[x] for x in v] for v in vecs]
 
 
 def singleton_tail_block(
@@ -330,9 +360,10 @@ def construct_decomposition_detailed(
 ) -> tuple[Decomposition, tuple[BlockPlan, tuple[int, int, int, int], str]]:
     """As construct_decomposition, also reporting the plan, block counts, and tail mode."""
     require_normalized(A)
-    plan = make_block_plan(A, cover)
+    G = pattern_graph(A)
+    plan = make_block_plan(G, cover)
     B = _permute_matrix(A, plan.perm)
-    G_empty = not pattern_graph(A).edges
+    G_empty = not G.edges
     b1 = clique_block(B, plan)
     b2 = cross_block(B, plan)
     b3 = singleton_link_block(B, plan)
@@ -371,10 +402,22 @@ def decompose_cp(
     Uses the cover minimizing the rank bound when none is given.  The input
     only needs to be CP, not normalized.
     """
+    dec, _ = decompose_cp_detailed(A, cover)
+    return dec
+
+
+def decompose_cp_detailed(
+    A: SymTropMatrix, cover: Optional[CliqueCover] = None
+) -> tuple[Decomposition, tuple[BlockPlan, tuple[int, int, int, int], str]]:
+    """As decompose_cp, also reporting the plan, block counts, and tail mode.
+
+    The plan is that of the normalized matrix, whose vertices are the
+    input's; lifting keeps the factor count, so the counts sum to the rank.
+    """
     from .analysis import lift_decomposition, normalize
 
     C, record = normalize(A)
     if cover is None:
         cover, _ = min_cover_bound(pattern_graph(C))
-    dec = construct_decomposition(C, cover)
-    return lift_decomposition(dec, record)
+    dec, details = construct_decomposition_detailed(C, cover)
+    return lift_decomposition(dec, record), details

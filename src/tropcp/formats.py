@@ -55,7 +55,7 @@ def parse_matrix(text: str) -> SymTropMatrix:
                     f"asymmetric entries at ({i + 1},{j + 1}) and ({j + 1},{i + 1}): "
                     f"{rows[i][j]} != {rows[j][i]}"
                 )
-    return SymTropMatrix.from_rows(rows)
+    return SymTropMatrix(n, [rows[i][j] for i in range(n) for j in range(i, n)])
 
 
 def render_matrix(A: SymTropMatrix) -> str:

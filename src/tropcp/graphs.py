@@ -14,6 +14,7 @@ desk-scale graphs (n up to roughly 12).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -251,56 +252,72 @@ def min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
 
     Any cover can be shrunk to a partition of the vertex set into cliques
     without increasing the bound, so the search runs over partitions: pick
-    the lowest uncovered vertex, branch over the cliques containing it
-    (largest first), and prune with the bound of the partial cover, which
-    only grows as cliques are added.  Ties between minimizing covers break
-    toward the canonically smallest clique list.
+    the lowest uncovered vertex and branch over the cliques containing it
+    (largest first).  A child is pruned when the bound of its partial
+    cover, which only grows as cliques are added, plus one clique per
+    omega uncovered vertices exceeds the best bound found so far.  Ties
+    between minimizing covers break toward the canonically smallest
+    clique list.
+
+    The partial bound is updated as parts are added and removed, not
+    recomputed: the part sizes >= 2 stay sorted (`bisect`), next to their
+    running sum_i (i-1) q_i and the number of singletons.  The cliques
+    containing the lowest uncovered vertex, with their bitmasks, are
+    listed once per uncovered set for the length of the call.
     """
     masks = G.adjacency_masks()
     omega = max(1, max_clique_size(G))
     full = (1 << G.n) - 1
 
-    best_cover: list[tuple[int, ...]] | None = None
+    best_key: tuple[tuple[int, ...], ...] | None = None  # canonical clique list
     best_bound: int | None = None
+    parts: list[tuple[int, ...]] = []
+    sizes: list[int] = []  # sizes >= 2 of the parts, ascending
+    branches: dict[int, list[tuple[tuple[int, ...], int]]] = {}
 
-    def partial_bound(parts: list[tuple[int, ...]], remaining: int) -> int:
-        sizes = sorted((len(p) for p in parts if len(p) >= 2), reverse=True)
-        l = sum(1 for p in parts if len(p) == 1)
-        base = ordered_cover_bound(sizes, l)
-        if remaining:
-            needed = -(-remaining.bit_count() // omega)
-            if not parts:
-                needed -= 1
-            base += max(0, needed)
-        return base
+    def search(uncovered: int, weighted: int, l: int) -> None:
+        """Branch on the lowest uncovered vertex, pruning each child before entry.
 
-    def search(uncovered: int, parts: list[tuple[int, ...]]) -> None:
-        nonlocal best_cover, best_bound
-        if best_bound is not None and partial_bound(parts, uncovered) > best_bound:
-            return
-        if uncovered == 0:
-            key = _canonical_cliques(parts)
-            bound = cover_bound(CliqueCover(parts))
-            if (
-                best_bound is None
-                or bound < best_bound
-                or (bound == best_bound and key < _canonical_cliques(best_cover))
-            ):
-                best_bound = bound
-                best_cover = list(parts)
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        for clique in _cliques_containing(v, uncovered, masks):
-            mask = 0
-            for u in clique:
-                mask |= 1 << u
+        `weighted` is sum_i (i-1) q_i over the parts' sizes >= 2 in
+        descending order and `l` the number of singleton parts.
+        """
+        nonlocal best_key, best_bound
+        if uncovered not in branches:
+            v = (uncovered & -uncovered).bit_length() - 1
+            branches[uncovered] = [
+                (clique, sum(1 << u for u in clique))
+                for clique in _cliques_containing(v, uncovered, masks)
+            ]
+        k = len(sizes)
+        for clique, mask in branches[uncovered]:
+            rest = uncovered & ~mask
+            q = len(clique)
+            if q == 1:
+                pos, kk, w, ll = -1, k, weighted, l + 1
+            else:
+                # q goes after the sizes >= q in descending order; each
+                # smaller size moves one place down
+                pos = bisect.bisect_left(sizes, q)
+                kk, w, ll = k + 1, weighted + (k - pos) * q + sum(sizes[:pos]), l
+            bound = kk + w + kk * ll + (ll * ll) // 4
+            if best_bound is not None and bound - (-rest.bit_count() // omega) > best_bound:
+                continue
             parts.append(clique)
-            search(uncovered & ~mask, parts)
+            if not rest:
+                key = _canonical_cliques(parts)
+                if best_bound is None or bound < best_bound or key < best_key:
+                    best_bound, best_key = bound, key
+            elif pos < 0:
+                search(rest, w, ll)
+            else:
+                sizes.insert(pos, q)
+                search(rest, w, ll)
+                del sizes[pos]
             parts.pop()
 
-    search(full, [])
-    assert best_cover is not None and best_bound is not None
-    return CliqueCover(best_cover), best_bound
+    search(full, 0, 0)
+    assert best_key is not None and best_bound is not None
+    return CliqueCover(best_key), best_bound
 
 
 def min_clique_cover_size(G: PatternGraph) -> int:

@@ -63,6 +63,7 @@ from .core import (
     SymTropMatrix,
     TropScalar,
     TropVector,
+    scaled_rows,
 )
 from .graphs import (
     _cliques_containing,
@@ -545,14 +546,6 @@ def _factor_system(A: SymTropMatrix, f: _FactorBuild) -> FactorConstraintSystem:
     )
 
 
-def _scaled(A: SymTropMatrix) -> tuple[list[list[Optional[int]]], int]:
-    """A's rows times the lcm of its denominators (ints, None for inf), and that lcm."""
-    finite = [v.finite for _, _, v in A.upper_entries() if not v.is_inf]
-    scale = math.lcm(1, *(v.denominator for v in finite))
-    C = [[None if v.is_inf else int(v.finite * scale) for v in row] for row in A.rows()]
-    return C, scale
-
-
 def _search_skeleton(
     A: SymTropMatrix,
     r: int,
@@ -566,7 +559,7 @@ def _search_skeleton(
     Returns the factors or None when this skeleton is exhausted.  Raises
     _Guard on budget exhaustion.
     """
-    C, scale = _scaled(A)
+    C, scale = scaled_rows(A)
     scaled = [int(value * scale) for _, _, value in reqs]
     factors = [_FactorBuild(frozenset(p), C) for p in parts]
     factors += [_FactorBuild(frozenset(), C) for _ in range(r - len(parts))]
@@ -770,7 +763,7 @@ def fooling_set_bound(
     """
     require_normalized(A)
     deadline = time.monotonic() + timeout_s
-    C, _ = _scaled(A)
+    C, _ = scaled_rows(A)
     entries = [(i, j) for i in range(A.n) for j in range(i, A.n) if C[i][j] is not None]
     adj = [0] * len(entries)
     for a, e in enumerate(entries):

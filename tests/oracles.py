@@ -8,6 +8,10 @@ half-integral solution of its constraint system (all constraints are unit
 or double coefficient sums with integer right-hand sides), and trimming
 makes every finite coordinate at most the largest finite entry, so the
 bounded lattice is exhaustive.
+
+The reference implementations at the end are the library's earlier
+versions of its integer kernels, on `TropScalar` values and without
+memos or incremental state; the kernels must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from tropcp import (
     TropVector,
     cover_bound,
     is_exact_decomposition,
+    ordered_cover_bound,
 )
+from tropcp.graphs import _cliques_containing, max_clique_size
 
 
 def all_cliques(G: PatternGraph) -> list[tuple[int, ...]]:
@@ -109,19 +115,33 @@ def brute_cp_rank(A: SymTropMatrix, r_cap: int) -> int | None:
                     return False
         return True
 
-    candidates = [
-        vec for vec in itertools.product(lattice, repeat=n) if dominates(vec)
-    ]
-    achieved_by: list[list[int]] = []
-    for i, j, val in finite_entries:
-        hits = [
-            idx
-            for idx, vec in enumerate(candidates)
+    def attained(vec: tuple[TropScalar, ...]) -> int:
+        """Bitmask of the finite entries vec's outer product attains."""
+        return sum(
+            1 << k
+            for k, (i, j, val) in enumerate(finite_entries)
             if not vec[i].is_inf
             and not vec[j].is_inf
             and vec[i].finite + vec[j].finite == val
-        ]
-        achieved_by.append(hits)
+        )
+
+    # A candidate whose attained entries lie inside another's can be
+    # swapped for that one in any decomposition, so only candidates with
+    # maximal attained sets (one per set) are kept; the minimum cover
+    # size does not change.
+    by_set: dict[int, tuple[TropScalar, ...]] = {}
+    for vec in itertools.product(lattice, repeat=n):
+        if dominates(vec):
+            by_set.setdefault(attained(vec), vec)
+    maximal: list[int] = []
+    for s in sorted(by_set, key=lambda s: -s.bit_count()):
+        if not any(s & t == s for t in maximal):
+            maximal.append(s)
+    candidates = [by_set[s] for s in maximal]
+    achieved_by = [
+        [idx for idx, s in enumerate(maximal) if s >> k & 1]
+        for k in range(len(finite_entries))
+    ]
 
     order = sorted(range(len(finite_entries)), key=lambda k: len(achieved_by[k]))
 
@@ -159,3 +179,86 @@ def brute_cp_rank(A: SymTropMatrix, r_cap: int) -> int | None:
             assert is_exact_decomposition(A, factors), "oracle certificate invalid"
             return r
     return None
+
+
+def reference_merge_pass(
+    B: SymTropMatrix, vectors: list[list[TropScalar]]
+) -> list[list[TropScalar]]:
+    """The tail merge pass on TropScalar values, every pair retested each scan."""
+
+    def dominates(vec: list[TropScalar]) -> bool:
+        finite = [t for t, e in enumerate(vec) if not e.is_inf]
+        for a in range(len(finite)):
+            for b in range(a, len(finite)):
+                s, t = finite[a], finite[b]
+                target = B[s, t]
+                if target.is_inf:
+                    return False
+                if vec[s].finite + vec[t].finite < target.finite:
+                    return False
+        return True
+
+    vecs = [list(v) for v in vectors]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(vecs)):
+            for b in range(a + 1, len(vecs)):
+                merged = [x + y for x, y in zip(vecs[a], vecs[b])]
+                if dominates(merged):
+                    vecs[a] = merged
+                    del vecs[b]
+                    changed = True
+                    break
+            if changed:
+                break
+    return vecs
+
+
+def reference_min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
+    """The cover-bound search recomputing the partial bound at every node."""
+    masks = G.adjacency_masks()
+    omega = max(1, max_clique_size(G))
+    full = (1 << G.n) - 1
+
+    best_cover: list[tuple[int, ...]] | None = None
+    best_bound: int | None = None
+
+    def partial_bound(parts: list[tuple[int, ...]], remaining: int) -> int:
+        sizes = sorted((len(p) for p in parts if len(p) >= 2), reverse=True)
+        l = sum(1 for p in parts if len(p) == 1)
+        base = ordered_cover_bound(sizes, l)
+        if remaining:
+            needed = -(-remaining.bit_count() // omega)
+            if not parts:
+                needed -= 1
+            base += max(0, needed)
+        return base
+
+    def search(uncovered: int, parts: list[tuple[int, ...]]) -> None:
+        nonlocal best_cover, best_bound
+        if best_bound is not None and partial_bound(parts, uncovered) > best_bound:
+            return
+        if uncovered == 0:
+            key = CliqueCover(parts).cliques
+            bound = cover_bound(CliqueCover(parts))
+            if (
+                best_bound is None
+                or bound < best_bound
+                or (bound == best_bound and key < CliqueCover(best_cover).cliques)
+            ):
+                best_bound = bound
+                best_cover = list(parts)
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        for clique in _cliques_containing(v, uncovered, masks):
+            mask = 0
+            for u in clique:
+                mask |= 1 << u
+            parts.append(clique)
+            search(uncovered & ~mask, parts)
+            parts.pop()
+
+    search(full, [])
+    assert best_cover is not None and best_bound is not None
+    return CliqueCover(best_cover), best_bound

@@ -122,6 +122,24 @@ class TestDecomposeAndRank:
         assert verify_decomposition(dec)
         assert report["payload"]["factor_count"] == dec.rank
 
+    @pytest.mark.parametrize(
+        "matrix, blocks, tail_mode",
+        [(paw_matrix(1, 2), [1, 0, 1, 0], "empty"), (rank_six_5x5(), [0, 0, 0, 6], "search")],
+        ids=["paw", "rank_six"],
+    )
+    def test_decompose_report_names_blocks_and_tail_mode(
+        self, capsys, tmp_path, matrix, blocks, tail_mode
+    ):
+        path = tmp_path / "m.tmat"
+        path.write_text(render_matrix(matrix))
+        code, report = run_json(capsys, "decompose", str(path))
+        assert code == 0
+        assert report["schema"] == "tropcp-report/1"
+        payload = report["payload"]
+        assert payload["blocks"] == blocks
+        assert payload["tail_mode"] == tail_mode
+        assert sum(payload["blocks"]) == payload["factor_count"]
+
     def test_rank_with_certificate(self, capsys, tmp_path):
         path = tmp_path / "r6.tmat"
         path.write_text(render_matrix(rank_six_5x5()))

@@ -164,3 +164,61 @@ class TestDecomposition:
         for i in range(m.n):
             for j in range(m.n):
                 assert not (m[i, j] * m[i, j] < m[i, i] * m[j, j])
+
+
+small_values = st.sampled_from(
+    [TropScalar(v) for v in (0, Fraction(1, 2), 1, Fraction(4, 3), 2, -1)] + [INF]
+)
+
+
+@st.composite
+def factor_lists(draw):
+    """(n, factors): up to four factors of length n, any of them possibly all-inf."""
+    n = draw(st.integers(1, 5))
+    factors = draw(
+        st.lists(st.lists(small_values, min_size=n, max_size=n).map(TropVector), max_size=4)
+    )
+    return n, factors
+
+
+def _changed(value: TropScalar) -> TropScalar:
+    return TropScalar(0) if value.is_inf else value * TropScalar(Fraction(1, 2))
+
+
+class TestExactVerifier:
+    """is_exact_decomposition against reconstruct(factors, n) == target."""
+
+    @given(factor_lists(), st.data())
+    def test_agrees_with_reconstruct_on_any_target(self, case, data):
+        n, factors = case
+        target = SymTropMatrix(
+            n, data.draw(st.lists(small_values, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+        )
+        assert is_exact_decomposition(target, factors) == (reconstruct(factors, n) == target)
+
+    @given(factor_lists())
+    def test_every_one_entry_mismatch_is_found(self, case):
+        n, factors = case
+        target = reconstruct(factors, n)
+        assert is_exact_decomposition(target, factors)
+        upper = [v for _, _, v in target.upper_entries()]
+        for idx in range(len(upper)):
+            wrong = SymTropMatrix(n, upper[:idx] + [_changed(upper[idx])] + upper[idx + 1:])
+            assert not is_exact_decomposition(wrong, factors)
+
+    @given(factor_lists(), st.sampled_from([-1, 1]))
+    def test_a_wrong_length_factor_is_rejected(self, case, delta):
+        n, factors = case
+        target = reconstruct(factors, n)
+        if n + delta < 1:
+            return
+        odd = TropVector([TropScalar(0)] * (n + delta))
+        for pos in range(len(factors) + 1):
+            assert not is_exact_decomposition(target, factors[:pos] + [odd] + factors[pos:])
+
+    def test_mixed_denominators(self):
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        factors = [TropVector([third, half]), TropVector([INF, Fraction(1, 4)])]
+        target = SymTropMatrix.from_rows([[2 * third, third + half], [third + half, half]])
+        assert is_exact_decomposition(target, factors)
+        assert not is_exact_decomposition(target, factors[:1])

@@ -1,6 +1,10 @@
 """Block construction, tail handling, and the clique-cover decomposition."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcp import (
     INF,
@@ -22,6 +26,7 @@ from tropcp.corpus import paw_matrix, rank_six_5x5
 from tropcp.decompose import (
     TAIL_CLOSED,
     TAIL_SEARCH,
+    _merge_pass,
     clique_block,
     cross_block,
     make_block_plan,
@@ -35,6 +40,8 @@ from tropcp.generators import (
     random_pattern_graph,
 )
 
+from oracles import reference_merge_pass
+
 
 def _vec(entries):
     return [TropScalar(e) if e != "inf" else INF for e in entries]
@@ -43,31 +50,31 @@ def _vec(entries):
 class TestBlocks:
     def test_clique_indicators_paw(self):
         A = paw_matrix(1, 2)
-        plan = make_block_plan(A, CliqueCover([(0, 1, 2), (3,)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1, 2), (3,)]))
         assert plan.perm == (0, 1, 2, 3)
         [x] = clique_block(A, plan)
         assert x == _vec([0, 0, 0, "inf"])
 
     def test_clique_indicators_two_pairs(self):
         A = SymTropMatrix.zeros(4)
-        plan = make_block_plan(A, CliqueCover([(0, 1), (2, 3)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2, 3)]))
         xs = clique_block(A, plan)
         assert xs == [_vec([0, 0, "inf", "inf"]), _vec(["inf", "inf", 0, 0])]
 
     def test_no_cliques_no_indicators(self):
         A = rank_six_5x5()
-        plan = make_block_plan(A, CliqueCover([(i,) for i in range(5)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(i,) for i in range(5)]))
         assert clique_block(A, plan) == []
 
     def test_cross_block_single_clique_is_empty(self):
         A = paw_matrix(1, 2)
-        plan = make_block_plan(A, CliqueCover([(0, 1, 2), (3,)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1, 2), (3,)]))
         assert cross_block(A, plan) == []
 
     def test_cross_block_two_cliques(self):
         G = PatternGraph(4, [(0, 1), (2, 3)])
         A = generate_instance(G, seed=5)
-        plan = make_block_plan(A, CliqueCover([(0, 1), (2, 3)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2, 3)]))
         ys = cross_block(A, plan)
         # (j-1) * q_j summed: one pair of cliques, second has two vertices
         assert len(ys) == 2
@@ -76,14 +83,14 @@ class TestBlocks:
 
     def test_singleton_link_paw(self):
         A = paw_matrix(1, 2)
-        plan = make_block_plan(A, CliqueCover([(0, 1, 2), (3,)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1, 2), (3,)]))
         [z] = singleton_link_block(A, plan)
         assert z == _vec([1, 2, 0, 0])
 
     def test_link_counts(self):
         G = PatternGraph(5, [(0, 1)])
         A = generate_instance(G, seed=2)
-        plan = make_block_plan(A, CliqueCover([(0, 1), (2,), (3,), (4,)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2,), (3,), (4,)]))
         assert len(singleton_link_block(A, plan)) == 3
 
 
@@ -152,7 +159,7 @@ class TestTail:
                 [5, 5, 2, 3, 0],
             ]
         )
-        plan = make_block_plan(A, CliqueCover([(0, 1), (2,), (3,), (4,)]))
+        plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2,), (3,), (4,)]))
         tail, mode = singleton_tail_block(A, plan, False, 0)
         assert mode == TAIL_CLOSED
         assert tail == [
@@ -169,6 +176,74 @@ class TestTail:
             dec, (_, counts, _) = construct_decomposition_detailed(A, cover)
             assert verify_decomposition(dec)
             assert dec.rank == n
+
+
+TAIL_VALUES = [TropScalar(v) for v in (0, Fraction(1, 2), 1, Fraction(5, 3), 2, 3)] + [INF]
+
+
+@st.composite
+def merge_inputs(draw):
+    """A zero-diagonal B and tail-style vectors in any order: per finite pair
+    (p, q), zero at p and B[p, q] at q; some all-inf but a lone zero; and
+    some with arbitrary entries that need not dominate B."""
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    values = st.lists(st.sampled_from(TAIL_VALUES), min_size=len(pairs), max_size=len(pairs))
+    off = dict(zip(pairs, draw(values)))
+    B = SymTropMatrix.from_upper_func(n, lambda i, j: 0 if i == j else off[i, j])
+    vectors = []
+    for p, q in pairs:
+        if not B[p, q].is_inf and draw(st.integers(0, 3)):
+            vec = [INF] * n
+            vec[p], vec[q] = TropScalar(0), B[p, q]
+            vectors.append(vec)
+    for t in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        vec = [INF] * n
+        vec[t] = TropScalar(0)
+        vectors.append(vec)
+    vectors += draw(
+        st.lists(st.lists(st.sampled_from(TAIL_VALUES), min_size=n, max_size=n), max_size=2)
+    )
+    return B, draw(st.permutations(vectors))
+
+
+class TestMergePass:
+    """The integer merge pass against the TropScalar reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_inputs())
+    def test_same_vectors_as_the_reference(self, case):
+        B, vectors = case
+        assert _merge_pass(B, vectors) == reference_merge_pass(B, vectors)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_tail_as_the_reference_on_sparse_instances(self, seed):
+        # sparse patterns leave many singletons, so long merge sequences
+        n = 7 + seed % 5
+        A = generate_instance(random_pattern_graph(n, seed, 0.15), seed + 500)
+        C, _ = normalize(A)
+        singles = list(range(n))
+        vectors = []
+        for a, p in enumerate(singles):
+            for q in singles[a + 1:]:
+                if not C[p, q].is_inf:
+                    vec = [INF] * n
+                    vec[p], vec[q] = TropScalar(0), C[p, q]
+                    vectors.append(vec)
+        merged = _merge_pass(C, vectors)
+        assert merged == reference_merge_pass(C, vectors)
+        assert len(merged) < len(vectors)
+
+    def test_vectors_off_the_grid_of_b(self):
+        # a vector entry with a denominator B does not have
+        B = SymTropMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        third = TropScalar(Fraction(1, 3))
+        vectors = [
+            _vec([0, 1, "inf"]),
+            [INF, third, TropScalar(Fraction(5, 3))],
+            _vec(["inf", 0, 1]),
+        ]
+        assert _merge_pass(B, vectors) == reference_merge_pass(B, vectors)
 
 
 class TestConstruct:

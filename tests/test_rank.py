@@ -34,6 +34,7 @@ from tropcp.corpus import (
     rank_six_5x5,
     star6_matrix,
 )
+from tropcp.core import scaled_rows
 from tropcp.generators import generate_instance, random_pattern_graph
 from tropcp.rank import (
     SearchStats,
@@ -42,7 +43,6 @@ from tropcp.rank import (
     _FactorBuild,
     _finite_offdiag_requirements,
     _Guard,
-    _scaled,
     _search_skeleton,
     _Utvpi,
 )
@@ -346,7 +346,7 @@ class TestFoolingSetBound:
         A, e, f = pair
         if e == f:
             return
-        C, _ = _scaled(A)
+        C, _ = scaled_rows(A)
         system = pair_system(A, e, f)
         expected = system is None or not kernel_verdict(system)
         assert expected == conflict_by_fm(A, e, f)
@@ -361,7 +361,7 @@ class TestFoolingSetBound:
             for (i, j), v in zip(itertools.combinations(range(4), 2), values):
                 rows[i][j] = rows[j][i] = v
             A = SymTropMatrix.from_rows(rows)
-            got = _conflict(_scaled(A)[0], (0, 1), (2, 3))
+            got = _conflict(scaled_rows(A)[0], (0, 1), (2, 3))
             assert got == (not kernel_verdict(pair_system(A, (0, 1), (2, 3))))
             conflicts += got
         assert 0 < conflicts < 4096
@@ -371,6 +371,15 @@ class TestFoolingSetBound:
     def test_bound_is_at_most_the_oracle_rank(self, A):
         size, entries = fooling_set_bound(A)
         assert size == len(entries) <= brute_cp_rank(A, 8)
+
+    def test_oracle_is_fast_on_alternating_offdiagonals(self):
+        # off-diagonal entries 2, 1, 2, 1, ... in combinations order: a draw
+        # of the test above on which the oracle once ran for over 90 s
+        values = dict(zip(itertools.combinations(range(5), 2), itertools.cycle((2, 1))))
+        A = SymTropMatrix.from_upper_func(5, lambda i, j: values.get((i, j), 0))
+        start = time.monotonic()
+        assert brute_cp_rank(A, 8) == 5
+        assert time.monotonic() - start < 2.5
 
     @settings(max_examples=100, deadline=None)
     @given(normalized_matrices())
@@ -583,7 +592,7 @@ class TestGuards:
         assert time.monotonic() - start < 0.5
         assert (rank, cert.status) == (None, "undetermined")
         # a clique search cut short still returns pairwise conflicting entries
-        C, _ = _scaled(A)
+        C, _ = scaled_rows(A)
         for timeout_s in (0.0, 0.1):
             size, entries = fooling_set_bound(A, timeout_s=timeout_s)
             assert size == len(entries) < 32
