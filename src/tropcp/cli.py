@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .analysis import is_completely_positive, normalize
+from .analysis import NotCompletelyPositiveError, is_completely_positive, normalize
 from .decompose import decompose_cp_detailed
 from .formats import (
     ParseError,
@@ -100,13 +100,18 @@ def cmd_check(args) -> int:
     return EXIT_OK if cp else EXIT_PROPERTY_FALSE
 
 
+def _not_cp() -> int:
+    print("input is not completely positive", file=sys.stderr)
+    return EXIT_PROPERTY_FALSE
+
+
 def cmd_normalize(args) -> int:
     A = _read_matrix(args.matrix)
-    if not is_completely_positive(A):
-        print("input is not completely positive", file=sys.stderr)
-        return EXIT_PROPERTY_FALSE
     start = time.monotonic()
-    C, record = normalize(A)
+    try:
+        C, record = normalize(A)
+    except NotCompletelyPositiveError:
+        return _not_cp()
     if args.raw:
         _emit(render_matrix(C), args.out)
         return EXIT_OK
@@ -149,11 +154,11 @@ def cmd_graph(args) -> int:
 
 def cmd_bound(args) -> int:
     A = _read_matrix(args.matrix)
-    if not is_completely_positive(A):
-        print("input is not completely positive", file=sys.stderr)
-        return EXIT_PROPERTY_FALSE
     start = time.monotonic()
-    C, _ = normalize(A)
+    try:
+        C, _ = normalize(A)
+    except NotCompletelyPositiveError:
+        return _not_cp()
     G = pattern_graph(C)
     cover, bound = min_cover_bound(G)
     # cp_rank_upper_bound, reusing this cover search
@@ -175,11 +180,11 @@ def cmd_bound(args) -> int:
 
 def cmd_decompose(args) -> int:
     A = _read_matrix(args.matrix)
-    if not is_completely_positive(A):
-        print("input is not completely positive", file=sys.stderr)
-        return EXIT_PROPERTY_FALSE
     start = time.monotonic()
-    dec, (_, blocks, tail_mode) = decompose_cp_detailed(A)
+    try:
+        dec, (_, blocks, tail_mode) = decompose_cp_detailed(A)
+    except NotCompletelyPositiveError:
+        return _not_cp()
     report = make_report(
         "decompose",
         matrix_digest(A),

@@ -17,10 +17,11 @@ Every constraint has two unit coefficients, so the system is a UTVPI
 (octagon) system: it has a rational solution exactly when its doubled
 difference-constraint graph has no negative cycle.  The search scales the
 matrix by the lcm of its denominators once and decides each search node
-with an incremental negative-cycle check on Python ints (`_Utvpi`).  Only
-at a found leaf is each factor solved exactly, by substitution along
-equality components followed by Fourier-Motzkin elimination
-(`solve_factor_system`), which gives a deterministic witness.
+with an incremental negative-cycle check on Python ints (`_Utvpi`).  At a
+found leaf, `solve_factor_system` builds each factor's deterministic
+witness on a fresh kernel: shortest paths in the doubled graph give exact
+bounds for each coordinate, and the roots of the equality components are
+fixed one at a time at their least feasible values.
 
 Diagonal entries are assigned first as a "zero-set skeleton": a partition
 of the vertices into cliques of the pattern graph, one part per factor
@@ -44,6 +45,7 @@ rank on 411, and the serial sweep over all of them takes 2.4 s instead of
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import time
@@ -89,7 +91,8 @@ class FactorConstraintSystem:
     """Exact rational constraints on one factor's finite coordinates.
 
     Pairs may repeat a coordinate: (t, t, c) encodes 2*b_t >= c (or = c).
-    Coordinates outside `support` are infinite and unconstrained.
+    Coordinates outside `support` are infinite and unconstrained, so zeros
+    and pairs must name support coordinates (ValueError otherwise).
     """
 
     n: int
@@ -98,188 +101,72 @@ class FactorConstraintSystem:
     equalities: tuple[tuple[int, int, Fraction], ...]
     inequalities: tuple[tuple[int, int, Fraction], ...]
 
-
-class _Infeasible(Exception):
-    pass
-
-
-class _SignedUnionFind:
-    """Tracks b_v = sign * x_root + offset relations induced by equalities."""
-
-    def __init__(self, variables: Sequence[int]):
-        self.parent = {v: v for v in variables}
-        self.sign = {v: 1 for v in variables}
-        self.offset = {v: Fraction(0) for v in variables}
-        self.pin: dict[int, Fraction] = {}
-
-    def find(self, v: int) -> tuple[int, int, Fraction]:
-        if self.parent[v] == v:
-            return v, self.sign[v], self.offset[v]
-        root, s, o = self.find(self.parent[v])
-        s_total = self.sign[v] * s
-        o_total = self.sign[v] * o + self.offset[v]
-        self.parent[v], self.sign[v], self.offset[v] = root, s_total, o_total
-        return root, s_total, o_total
-
-    def pin_root(self, root: int, value: Fraction) -> None:
-        if root in self.pin:
-            if self.pin[root] != value:
-                raise _Infeasible
-        else:
-            self.pin[root] = value
-
-    def add_equality(self, i: int, j: int, c: Fraction) -> None:
-        ri, si, oi = self.find(i)
-        rj, sj, oj = self.find(j)
-        if ri == rj:
-            coeff = si + sj
-            if coeff == 0:
-                if oi + oj != c:
-                    raise _Infeasible
-            else:
-                self.pin_root(ri, (c - oi - oj) / coeff)
-            return
-        # express x_rj through x_ri and attach
-        self.parent[rj] = ri
-        self.sign[rj] = -si * sj
-        self.offset[rj] = sj * (c - oi - oj)
-        if rj in self.pin:
-            pinned = self.pin.pop(rj)
-            # pinned = sign[rj] * x_ri + offset[rj]
-            self.pin_root(ri, (pinned - self.offset[rj]) * self.sign[rj])
-
-    def value_expr(self, v: int) -> tuple[Optional[int], int, Fraction]:
-        """(free_root or None, sign, offset); root None means b_v is pinned."""
-        root, s, o = self.find(v)
-        if root in self.pin:
-            return None, 0, s * self.pin[root] + o
-        return root, s, o
-
-
-def _fm_solve(
-    constraints: list[tuple[dict[int, Fraction], Fraction]],
-    roots: list[int],
-) -> Optional[dict[int, Fraction]]:
-    """Feasibility + witness for linear constraints sum(coef*x) >= rhs.
-
-    Eliminates roots in order by Fourier-Motzkin, then back-substitutes,
-    taking each variable at its lowest feasible value for determinism.
-    Returns None when infeasible.
-    """
-    layers: list[tuple[int, list[tuple[dict[int, Fraction], Fraction]]]] = []
-    current = constraints
-    for x in roots:
-        with_x = [c for c in current if c[0].get(x)]
-        rest = [c for c in current if not c[0].get(x)]
-        layers.append((x, with_x))
-        lowers = [c for c in with_x if c[0][x] > 0]
-        uppers = [c for c in with_x if c[0][x] < 0]
-        for cl in lowers:
-            for cu in uppers:
-                a = cl[0][x]
-                b = -cu[0][x]
-                coeffs: dict[int, Fraction] = {}
-                for k, v in cl[0].items():
-                    coeffs[k] = coeffs.get(k, Fraction(0)) + b * v
-                for k, v in cu[0].items():
-                    coeffs[k] = coeffs.get(k, Fraction(0)) + a * v
-                coeffs = {k: v for k, v in coeffs.items() if k != x and v != 0}
-                rest.append((coeffs, b * cl[1] + a * cu[1]))
-        current = rest
-    for coeffs, rhs in current:
-        if not coeffs and rhs > 0:
-            return None
-    values: dict[int, Fraction] = {}
-    for x, with_x in reversed(layers):
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for coeffs, rhs in with_x:
-            cx = coeffs[x]
-            rest_val = rhs
-            for k, v in coeffs.items():
-                if k != x:
-                    rest_val -= v * values[k]
-            bound = rest_val / cx
-            if cx > 0:
-                if lo is None or bound > lo:
-                    lo = bound
-            else:
-                if hi is None or bound < hi:
-                    hi = bound
-        if lo is not None:
-            values[x] = lo
-        elif hi is not None:
-            values[x] = hi if hi < 0 else Fraction(0)
-        else:
-            values[x] = Fraction(0)
-    return values
+    def __post_init__(self) -> None:
+        if any(not 0 <= t < self.n for t in self.support):
+            raise ValueError(f"support {sorted(self.support)} is not inside 0..{self.n - 1}")
+        named = set(self.zeros)
+        for i, j, _ in self.equalities + self.inequalities:
+            named.update((i, j))
+        if not named <= self.support:
+            raise ValueError(f"coordinates {sorted(named - self.support)} are not in the support")
 
 
 def solve_factor_system(system: FactorConstraintSystem) -> Optional[TropVector]:
     """An exact solution of the factor system, or None when refuted.
 
-    The witness extends to infinity outside the support and is deterministic
-    (each eliminated variable takes its smallest feasible value).
+    The system is scaled to ints and loaded into a `_Utvpi`.  The witness
+    is deterministic: the roots of the equality components (the first
+    coordinate of each equality absorbs the second's component) are fixed
+    from the largest index down, each at its least feasible value given
+    the roots fixed before it, or at min(upper bound, 0) when it has no
+    lower bound; every other coordinate then follows from its component.
+    The shortest-path bounds are exact over the rationals, so this is the
+    point that eliminating the roots in ascending order and substituting
+    back picks.  The witness extends to infinity outside the support.
     """
-    variables = sorted(system.support)
-    uf = _SignedUnionFind(variables)
-    try:
-        for z in system.zeros:
-            root, s, o = uf.find(z)
-            uf.pin_root(root, (Fraction(0) - o) * s)
-        for i, j, c in system.equalities:
-            uf.add_equality(i, j, c)
-    except _Infeasible:
+    # b_z = 0 and each equality are an upper and a lower bound
+    uppers = [(z, z, Fraction(0)) for z in system.zeros] + list(system.equalities)
+    lowers = uppers + list(system.inequalities)
+    scale = math.lcm(1, *(c.denominator for _, _, c in lowers))
+    kernel = _Utvpi(system.n)
+    for t in sorted(system.support):
+        kernel.add_var(t, ())
+    if not (
+        all(kernel.add_upper(i, j, int(c * scale)) for i, j, c in uppers)
+        and all(kernel.add_lower(i, j, int(c * scale)) for i, j, c in lowers)
+    ):
         return None
 
-    constraints: list[tuple[dict[int, Fraction], Fraction]] = []
-    free_roots: set[int] = set()
-    for i, j, rhs in system.inequalities:
-        coeffs: dict[int, Fraction] = {}
-        const = Fraction(0)
-        for t in (i, j):
-            root, s, o = uf.value_expr(t)
-            const += o
-            if root is not None:
-                coeffs[root] = coeffs.get(root, Fraction(0)) + s
-                free_roots.add(root)
-        coeffs = {k: v for k, v in coeffs.items() if v != 0}
-        if not coeffs:
-            if const < rhs:
-                return None
+    parent = {t: t for t in system.support}
+
+    def find(t: int) -> int:
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for i, j, _ in system.equalities:
+        parent[find(j)] = find(i)
+    for t in sorted((t for t in parent if parent[t] == t), reverse=True):
+        # 2 * x_t >= -path(2t, 2t + 1) and 2 * x_t <= path(2t + 1, 2t)
+        low = kernel.path(2 * t, 2 * t + 1)
+        if low is not None:
+            twice = -low
         else:
-            constraints.append((coeffs, rhs - const))
+            high = kernel.path(2 * t + 1, 2 * t)
+            twice = 0 if high is None else min(high, 0)
+        kernel.add_lower(t, t, twice)
+        kernel.add_upper(t, t, twice)
 
-    # equality-pinned components might violate inequalities only through the
-    # constraints above; also collect any remaining free roots so they get
-    # values during back-substitution
-    for v in variables:
-        root, _, _ = uf.value_expr(v)
-        if root is not None:
-            free_roots.add(root)
-
-    values = _fm_solve(constraints, sorted(free_roots))
-    if values is None:
-        return None
-
-    entries: list[TropScalar] = [INF] * system.n
-    assignment: dict[int, Fraction] = {}
-    for v in variables:
-        root, s, o = uf.value_expr(v)
-        assignment[v] = o if root is None else s * values[root] + o
-        entries[v] = TropScalar(assignment[v])
-
+    # every coordinate is now fixed, so the potentials of its two nodes lie
+    # on a zero-weight cycle and differ by exactly 2 * x_t
+    dist = kernel.dist
+    x = {t: Fraction(dist[2 * t] - dist[2 * t + 1], 2 * scale) for t in system.support}
     # exact safety recheck of the raw system
-    for z in system.zeros:
-        if assignment[z] != 0:
-            return None
-    for i, j, c in system.equalities:
-        if assignment[i] + assignment[j] != c:
-            return None
-    for i, j, c in system.inequalities:
-        if assignment[i] + assignment[j] < c:
-            return None
-    return TropVector(entries)
+    if any(x[i] + x[j] != c for i, j, c in uppers) or any(
+        x[i] + x[j] < c for i, j, c in system.inequalities
+    ):
+        return None
+    return TropVector([TropScalar(x[t]) if t in x else INF for t in range(system.n)])
 
 
 class _Utvpi:
@@ -343,6 +230,28 @@ class _Utvpi:
     def add_upper(self, i: int, j: int, c: int) -> bool:
         """Add x_i + x_j <= c; whether the system is still feasible."""
         return self._add(2 * i + 1, 2 * j, 2 * j + 1, 2 * i, c)
+
+    def path(self, u: int, v: int) -> Optional[int]:
+        """Shortest-path weight from node u to node v; None when v is unreachable.
+
+        Dijkstra on the weights reduced by the potentials, which are
+        nonnegative while the system is feasible.
+        """
+        dist, out = self.dist, self.out
+        best = {u: 0}
+        heap = [(0, u)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if x == v:
+                return d - dist[u] + dist[v]
+            if d > best[x]:
+                continue
+            for y, w in out[x]:
+                dy = d + w + dist[x] - dist[y]
+                if y not in best or dy < best[y]:
+                    best[y] = dy
+                    heapq.heappush(heap, (dy, y))
+        return None
 
     def _add(self, u1: int, v1: int, u2: int, v2: int, w: int) -> bool:
         dist, out, edges = self.dist, self.out, self._edges
@@ -480,9 +389,10 @@ def _clique_partitions(
 class _FactorBuild:
     """Mutable factor state during the assignment search.
 
-    `support` and `equalities` describe the factor system exactly (for the
-    witness at a found leaf); `kernel` holds the same system on the scaled
-    matrix `C` (ints, None for inf) and decides feasibility at every node.
+    `support` and `equalities` describe the factor system exactly, for
+    `solve_factor_system` at a found leaf; `kernel` holds the same system
+    on the scaled matrix `C` (ints, None for inf) and decides feasibility
+    at every node.
     """
 
     __slots__ = ("zeros", "support", "equalities", "C", "kernel", "_undo")
@@ -573,7 +483,9 @@ def _search_skeleton(
                     continue
                 witness = solve_factor_system(_factor_system(A, f))
                 if witness is None:
-                    raise AssertionError("factor system feasible by the kernel but not by FM")
+                    raise AssertionError(
+                        "factor system feasible in the search but its witness fails the recheck"
+                    )
                 out.append(witness)
             return out
         i, j, value = reqs[depth]

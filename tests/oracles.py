@@ -10,18 +10,23 @@ makes every finite coordinate at most the largest finite entry, so the
 bounded lattice is exhaustive.
 
 The reference implementations at the end are the library's earlier
-versions of its integer kernels, on `TropScalar` values and without
-memos or incremental state; the kernels must agree with them exactly.
+versions of its integer kernels, on `TropScalar` and `Fraction` values
+and without memos or incremental state; the kernels must agree with them
+exactly.  `reference_solve_factor_system` is the Fourier-Motzkin solver
+that built the exact-rank search's leaf witnesses before the integer
+UTVPI kernel did.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from tropcp import (
     INF,
     CliqueCover,
+    FactorConstraintSystem,
     PatternGraph,
     SymTropMatrix,
     TropScalar,
@@ -262,3 +267,188 @@ def reference_min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
     search(full, [])
     assert best_cover is not None and best_bound is not None
     return CliqueCover(best_cover), best_bound
+
+
+class _Infeasible(Exception):
+    pass
+
+
+class _SignedUnionFind:
+    """Tracks b_v = sign * x_root + offset relations induced by equalities."""
+
+    def __init__(self, variables: Sequence[int]):
+        self.parent = {v: v for v in variables}
+        self.sign = {v: 1 for v in variables}
+        self.offset = {v: Fraction(0) for v in variables}
+        self.pin: dict[int, Fraction] = {}
+
+    def find(self, v: int) -> tuple[int, int, Fraction]:
+        if self.parent[v] == v:
+            return v, self.sign[v], self.offset[v]
+        root, s, o = self.find(self.parent[v])
+        s_total = self.sign[v] * s
+        o_total = self.sign[v] * o + self.offset[v]
+        self.parent[v], self.sign[v], self.offset[v] = root, s_total, o_total
+        return root, s_total, o_total
+
+    def pin_root(self, root: int, value: Fraction) -> None:
+        if root in self.pin:
+            if self.pin[root] != value:
+                raise _Infeasible
+        else:
+            self.pin[root] = value
+
+    def add_equality(self, i: int, j: int, c: Fraction) -> None:
+        ri, si, oi = self.find(i)
+        rj, sj, oj = self.find(j)
+        if ri == rj:
+            coeff = si + sj
+            if coeff == 0:
+                if oi + oj != c:
+                    raise _Infeasible
+            else:
+                self.pin_root(ri, (c - oi - oj) / coeff)
+            return
+        # express x_rj through x_ri and attach
+        self.parent[rj] = ri
+        self.sign[rj] = -si * sj
+        self.offset[rj] = sj * (c - oi - oj)
+        if rj in self.pin:
+            pinned = self.pin.pop(rj)
+            # pinned = sign[rj] * x_ri + offset[rj]
+            self.pin_root(ri, (pinned - self.offset[rj]) * self.sign[rj])
+
+    def value_expr(self, v: int) -> tuple[int | None, int, Fraction]:
+        """(free_root or None, sign, offset); root None means b_v is pinned."""
+        root, s, o = self.find(v)
+        if root in self.pin:
+            return None, 0, s * self.pin[root] + o
+        return root, s, o
+
+
+def _fm_solve(
+    constraints: list[tuple[dict[int, Fraction], Fraction]],
+    roots: list[int],
+) -> dict[int, Fraction] | None:
+    """Feasibility + witness for linear constraints sum(coef*x) >= rhs.
+
+    Eliminates roots in order by Fourier-Motzkin, then back-substitutes,
+    taking each variable at its lowest feasible value for determinism.
+    Returns None when infeasible.
+    """
+    layers: list[tuple[int, list[tuple[dict[int, Fraction], Fraction]]]] = []
+    current = constraints
+    for x in roots:
+        with_x = [c for c in current if c[0].get(x)]
+        rest = [c for c in current if not c[0].get(x)]
+        layers.append((x, with_x))
+        lowers = [c for c in with_x if c[0][x] > 0]
+        uppers = [c for c in with_x if c[0][x] < 0]
+        for cl in lowers:
+            for cu in uppers:
+                a = cl[0][x]
+                b = -cu[0][x]
+                coeffs: dict[int, Fraction] = {}
+                for k, v in cl[0].items():
+                    coeffs[k] = coeffs.get(k, Fraction(0)) + b * v
+                for k, v in cu[0].items():
+                    coeffs[k] = coeffs.get(k, Fraction(0)) + a * v
+                coeffs = {k: v for k, v in coeffs.items() if k != x and v != 0}
+                rest.append((coeffs, b * cl[1] + a * cu[1]))
+        current = rest
+    for coeffs, rhs in current:
+        if not coeffs and rhs > 0:
+            return None
+    values: dict[int, Fraction] = {}
+    for x, with_x in reversed(layers):
+        lo: Fraction | None = None
+        hi: Fraction | None = None
+        for coeffs, rhs in with_x:
+            cx = coeffs[x]
+            rest_val = rhs
+            for k, v in coeffs.items():
+                if k != x:
+                    rest_val -= v * values[k]
+            bound = rest_val / cx
+            if cx > 0:
+                if lo is None or bound > lo:
+                    lo = bound
+            else:
+                if hi is None or bound < hi:
+                    hi = bound
+        if lo is not None:
+            values[x] = lo
+        elif hi is not None:
+            values[x] = hi if hi < 0 else Fraction(0)
+        else:
+            values[x] = Fraction(0)
+    return values
+
+
+def reference_solve_factor_system(system: FactorConstraintSystem) -> TropVector | None:
+    """The factor system solved by substitution and Fourier-Motzkin, or None.
+
+    Equalities are substituted along signed union-find components; the
+    free roots are eliminated in ascending order and back-substituted, each
+    at its least feasible value (min(upper bound, 0) when it has none).
+    The witness extends to infinity outside the support.
+    """
+    variables = sorted(system.support)
+    uf = _SignedUnionFind(variables)
+    try:
+        for z in system.zeros:
+            root, s, o = uf.find(z)
+            uf.pin_root(root, (Fraction(0) - o) * s)
+        for i, j, c in system.equalities:
+            uf.add_equality(i, j, c)
+    except _Infeasible:
+        return None
+
+    constraints: list[tuple[dict[int, Fraction], Fraction]] = []
+    free_roots: set[int] = set()
+    for i, j, rhs in system.inequalities:
+        coeffs: dict[int, Fraction] = {}
+        const = Fraction(0)
+        for t in (i, j):
+            root, s, o = uf.value_expr(t)
+            const += o
+            if root is not None:
+                coeffs[root] = coeffs.get(root, Fraction(0)) + s
+                free_roots.add(root)
+        coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        if not coeffs:
+            if const < rhs:
+                return None
+        else:
+            constraints.append((coeffs, rhs - const))
+
+    # equality-pinned components might violate inequalities only through the
+    # constraints above; also collect any remaining free roots so they get
+    # values during back-substitution
+    for v in variables:
+        root, _, _ = uf.value_expr(v)
+        if root is not None:
+            free_roots.add(root)
+
+    values = _fm_solve(constraints, sorted(free_roots))
+    if values is None:
+        return None
+
+    entries: list[TropScalar] = [INF] * system.n
+    assignment: dict[int, Fraction] = {}
+    for v in variables:
+        root, s, o = uf.value_expr(v)
+        assignment[v] = o if root is None else s * values[root] + o
+        entries[v] = TropScalar(assignment[v])
+
+    # exact safety recheck of the raw system
+    for z in system.zeros:
+        if assignment[z] != 0:
+            return None
+    for i, j, c in system.equalities:
+        if assignment[i] + assignment[j] != c:
+            return None
+    for i, j, c in system.inequalities:
+        if assignment[i] + assignment[j] < c:
+            return None
+    return TropVector(entries)

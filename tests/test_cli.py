@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import tropcp.analysis
 import tropcp.cli
 from tropcp import SymTropMatrix, normalize, parse_matrix, verify_decomposition
 from tropcp.cli import main
@@ -183,6 +184,36 @@ class TestDecomposeAndRank:
         code, report = run_json(capsys, "rank", str(path))
         assert code == 1
         assert report["payload"]["rank"] == "inf"
+
+
+class TestNotCompletelyPositive:
+    @pytest.mark.parametrize("command", ["normalize", "bound", "decompose"])
+    def test_exits_one_without_a_report(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.tmat"
+        path.write_text("2\n0 -1\n-1 0\n")
+        out = tmp_path / "report.json"
+        assert main([command, str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input is not completely positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["normalize", "bound", "decompose"])
+    @pytest.mark.parametrize("cp", [True, False], ids=["paw", "not_cp"])
+    def test_one_cp_check_per_run(self, capsys, tmp_path, monkeypatch, command, cp):
+        path = tmp_path / "a.tmat"
+        path.write_text(render_matrix(paw_matrix(1, 2)) if cp else "2\n0 -1\n-1 0\n")
+        real = tropcp.analysis.is_completely_positive
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return real(A)
+
+        monkeypatch.setattr(tropcp.analysis, "is_completely_positive", counting)
+        monkeypatch.setattr(tropcp.cli, "is_completely_positive", counting)
+        assert run(capsys, command, str(path))[0] == (0 if cp else 1)
+        assert len(calls) == 1
 
 
 class TestGraphCommands:

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropcp import (
     INF,
@@ -47,7 +47,7 @@ from tropcp.rank import (
     _Utvpi,
 )
 
-from oracles import brute_cp_rank
+from oracles import brute_cp_rank, reference_solve_factor_system
 
 
 class TestFactorSolver:
@@ -166,6 +166,27 @@ class TestFactorSolver:
         )
         assert solve_factor_system(system) is None
 
+    @pytest.mark.parametrize(
+        "support, zeros, equalities, inequalities",
+        [
+            pytest.param({0, 1}, {2}, (), (), id="zero"),
+            pytest.param({0, 1}, (), ((0, 2, Fraction(1)),), (), id="equality"),
+            pytest.param({0, 1}, (), (), ((2, 1, Fraction(1)),), id="inequality"),
+            pytest.param({0, 3}, (), (), (), id="support"),
+        ],
+    )
+    def test_rejects_coordinates_outside_the_support(
+        self, support, zeros, equalities, inequalities
+    ):
+        with pytest.raises(ValueError):
+            FactorConstraintSystem(
+                n=3,
+                support=frozenset(support),
+                zeros=frozenset(zeros),
+                equalities=equalities,
+                inequalities=inequalities,
+            )
+
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-3, max_value=9), st.integers(min_value=1, max_value=3)
@@ -207,6 +228,17 @@ def assignment_runs(draw):
     return A, frozenset(zeros), order
 
 
+def witness_case(support, equalities, inequalities):
+    """A factor system on {0, 1} without zeros, for pinned examples."""
+    return FactorConstraintSystem(
+        n=2,
+        support=frozenset(support),
+        zeros=frozenset(),
+        equalities=tuple((i, j, Fraction(c)) for i, j, c in equalities),
+        inequalities=tuple((i, j, Fraction(c)) for i, j, c in inequalities),
+    )
+
+
 def kernel_verdict(system):
     """Feasibility of an arbitrary factor system by the search's integer kernel."""
     pairs = [(z, z, Fraction(0), upper) for z in system.zeros for upper in (True, False)]
@@ -224,12 +256,21 @@ def kernel_verdict(system):
 
 
 class TestIntegerKernel:
-    """The search's integer UTVPI check against exact Fourier-Motzkin."""
+    """The integer UTVPI kernel and its witnesses against exact Fourier-Motzkin."""
 
     @settings(max_examples=400, deadline=None)
     @given(factor_systems())
     def test_verdict_matches_fourier_motzkin(self, system):
-        assert kernel_verdict(system) == (solve_factor_system(system) is not None)
+        assert kernel_verdict(system) == (reference_solve_factor_system(system) is not None)
+
+    @settings(max_examples=400, deadline=None)
+    @given(factor_systems())
+    # one system per rule of the witness; random draws seldom reach the last
+    @example(witness_case({0, 1}, (), ((0, 1, 2),)))  # roots last first: (2, 0)
+    @example(witness_case({0, 1}, ((0, 1, 2),), ((0, 0, 0), (1, 1, 0))))  # roots only: (0, 2)
+    @example(witness_case({0, 1}, ((0, 1, 5),), ((1, 1, 2),)))  # min(upper, 0): (0, 5)
+    def test_witness_matches_fourier_motzkin(self, system):
+        assert solve_factor_system(system) == reference_solve_factor_system(system)
 
     @settings(max_examples=200, deadline=None)
     @given(assignment_runs())
@@ -255,7 +296,7 @@ class TestIntegerKernel:
                         (s, t, A[s, t].finite) for s in trial for t in trial if s <= t
                     ),
                 )
-                expected = solve_factor_system(system) is not None
+                expected = reference_solve_factor_system(system) is not None
             assert f.push(i, j, value, int(value * scale)) == expected
             if expected:
                 support, equalities = trial, equalities + [(i, j, value)]
@@ -272,6 +313,7 @@ class TestIntegerKernel:
             inequalities=((0, 0, Fraction(2)),),
         )
         assert not kernel_verdict(system)
+        assert reference_solve_factor_system(system) is None
         assert solve_factor_system(system) is None
 
 
@@ -317,7 +359,7 @@ def pair_system(A, e, f):
 
 def conflict_by_fm(A, e, f):
     system = pair_system(A, e, f)
-    return system is None or solve_factor_system(system) is None
+    return system is None or reference_solve_factor_system(system) is None
 
 
 @st.composite
