@@ -277,13 +277,16 @@ def cmd_witness(args) -> int:
 
 def cmd_gen(args) -> int:
     G = _read_graph(args.graph)
-    A = generate_instance(
-        G,
-        args.seed,
-        max_numerator=args.max_numerator,
-        max_denominator=args.max_denominator,
-        inf_probability=args.inf_probability,
-    )
+    try:
+        A = generate_instance(
+            G,
+            args.seed,
+            max_numerator=args.max_numerator,
+            max_denominator=args.max_denominator,
+            inf_probability=args.inf_probability,
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     if args.report:
         report = make_report(
             "gen",

@@ -89,6 +89,8 @@ def parse_graph(text: str) -> PatternGraph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"bad header {lines[0]!r}") from None
+    if n < 1:
+        raise ParseError(f"vertex count must be >= 1, got {n}")
     if len(lines) != m + 1:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

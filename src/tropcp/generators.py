@@ -22,6 +22,11 @@ def generate_instance(
     positive rationals (or infinity, with the given probability) from a
     deterministic per-seed stream, so equal seeds give identical matrices.
     """
+    if min(max_numerator, max_denominator) < 1 or not 0 <= inf_probability <= 1:
+        raise ValueError(
+            "max numerator and denominator must be >= 1 and inf probability in [0, 1], "
+            f"got {max_numerator}, {max_denominator} and {inf_probability}"
+        )
     rng = random.Random(seed)
     zero = TropScalar(0)
     entries: dict[tuple[int, int], TropScalar] = {}

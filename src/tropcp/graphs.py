@@ -7,8 +7,12 @@ carries the rank bound
 
     k + sum_i (i-1) q_i + k*l + floor(l^2 / 4)
 
-which this module minimizes exactly over all covers, alongside an exact
-edge-clique-cover solver.  Both searches are exponential and are meant for
+One search, `CliquePartitions`, walks the partitions of the vertex set
+into cliques under part-count and bound limits.  It gives the exact
+minimum of this bound over all covers (`min_cover_bound`), the fewest
+cliques covering the vertices (`min_clique_cover_size`) and the zero-set
+skeletons of the exact-rank search.  Alongside it is an exact
+edge-clique-cover solver.  Both are exponential and are meant for
 desk-scale graphs (n up to roughly 12).
 """
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analysis import require_normalized
 from .core import SymTropMatrix, TropScalar
@@ -222,127 +226,121 @@ def cover_bound(cover: CliqueCover) -> int:
     return ordered_cover_bound(cover.sizes, cover.singleton_count)
 
 
-def _cliques_containing(v: int, allowed: int, masks: list[int]) -> list[tuple[int, ...]]:
-    """Cliques within the `allowed` bitmask containing v as their lowest vertex.
+def _cliques_containing(allowed: int, masks: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(clique, bitmask) for each clique within `allowed` that holds its lowest vertex.
 
     Members are grown in increasing order, so each clique appears once and
     already sorted.  Returned largest first, then lexicographically.
     """
-    found: list[tuple[int, ...]] = []
+    v = (allowed & -allowed).bit_length() - 1
+    found: list[tuple[tuple[int, ...], int]] = []
 
-    def grow(members: list[int], candidates: int) -> None:
-        found.append(tuple(members))
+    def grow(members: tuple[int, ...], bits: int, candidates: int) -> None:
+        found.append((members, bits))
         m = candidates
         while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            grow(members + [u], candidates & masks[u] & ~((1 << (u + 1)) - 1))
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            grow(members + (u,), bits | low, candidates & masks[u] & ~((low << 1) - 1))
 
-    grow([v], masks[v] & allowed & ~((1 << (v + 1)) - 1))
-    return sorted(found, key=lambda c: (-len(c), c))
+    grow((v,), 1 << v, masks[v] & allowed & ~((2 << v) - 1))
+    found.sort(key=lambda c: (-len(c[0]), c[0]))
+    return found
 
 
-def max_clique_size(G: PatternGraph) -> int:
-    # maximal_cliques lists the largest first
-    return len(maximal_cliques(G)[0])
+class CliquePartitions:
+    """Iterating yields `(parts, bound)` for each partition of G's vertices
+    into cliques, with its cover bound, in canonical order: lowest
+    uncovered vertex first, its cliques largest first, then lexicographic.
+
+    A child leaving `left` vertices uncovered needs ceil(left / omega) more
+    parts and its cover bound only grows, so it is skipped when its part
+    count or bound plus that many is above `max_parts` or `max_bound`.
+    Callers may lower either limit between yields; both are reread after
+    each child entered.  The bound is kept incrementally (sizes >= 2
+    sorted with `bisect`, the running sum_i (i-1) q_i, the singleton
+    count), and each uncovered set's branch list is built once.
+    """
+
+    def __init__(self, G: PatternGraph, max_parts: int | None = None):
+        self.full = (1 << G.n) - 1
+        self.masks = G.adjacency_masks()
+        self.omega = len(maximal_cliques(G)[0])  # listed largest first
+        # ints, not inf: the limits are compared in the innermost loop
+        self.max_parts = G.n if max_parts is None else max_parts
+        self.max_bound = G.n * G.n
+        self._branches: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
+
+    def __iter__(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+        masks, omega, branches = self.masks, self.omega, self._branches
+        parts: list[tuple[int, ...]] = []
+        sizes: list[int] = []  # sizes >= 2 of the parts, ascending
+
+        def search(uncovered: int, weighted: int, l: int, depth: int):
+            # weighted: sum_i (i-1) q_i over the sizes >= 2; l: singletons;
+            # depth: the part count of each child
+            cliques = branches.get(uncovered)
+            if cliques is None:
+                # (clique, uncovered rest, parts the rest still needs, size)
+                left = uncovered.bit_count()
+                cliques = branches[uncovered] = [
+                    (clique, uncovered ^ mask, -((len(clique) - left) // omega), len(clique))
+                    for clique, mask in _cliques_containing(uncovered, masks)
+                ]
+            k = len(sizes)
+            slack, max_bound = self.max_parts - depth, self.max_bound
+            for clique, rest, need, q in cliques:
+                if need > slack:
+                    continue
+                if q == 1:
+                    pos, kk, w, ll = -1, k, weighted, l + 1
+                else:
+                    # q goes after the sizes >= q in descending order; each
+                    # smaller size moves one place down
+                    pos = bisect.bisect_left(sizes, q)
+                    kk, w, ll = k + 1, weighted + (k - pos) * q + sum(sizes[:pos]), l
+                bound = kk + w + kk * ll + (ll * ll) // 4
+                if bound + need > max_bound:
+                    continue
+                parts.append(clique)
+                if not rest:
+                    yield tuple(parts), bound
+                elif pos < 0:
+                    yield from search(rest, w, ll, depth + 1)
+                else:
+                    sizes.insert(pos, q)
+                    yield from search(rest, w, ll, depth + 1)
+                    del sizes[pos]
+                parts.pop()
+                slack, max_bound = self.max_parts - depth, self.max_bound
+
+        return search(self.full, 0, 0, 1)
 
 
 def min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
     """Exact minimum of the cover bound over all vertex clique covers.
 
     Any cover can be shrunk to a partition of the vertex set into cliques
-    without increasing the bound, so the search runs over partitions: pick
-    the lowest uncovered vertex and branch over the cliques containing it
-    (largest first).  A child is pruned when the bound of its partial
-    cover, which only grows as cliques are added, plus one clique per
-    omega uncovered vertices exceeds the best bound found so far.  Ties
-    between minimizing covers break toward the canonically smallest
-    clique list.
-
-    The partial bound is updated as parts are added and removed, not
-    recomputed: the part sizes >= 2 stay sorted (`bisect`), next to their
-    running sum_i (i-1) q_i and the number of singletons.  The cliques
-    containing the lowest uncovered vertex, with their bitmasks, are
-    listed once per uncovered set for the length of the call.
+    without increasing the bound, so this walks `CliquePartitions`,
+    lowering `max_bound` to each bound found; no later partition exceeds
+    it.  Ties break toward the canonically smallest clique list.
     """
-    masks = G.adjacency_masks()
-    omega = max(1, max_clique_size(G))
-    full = (1 << G.n) - 1
-
-    best_key: tuple[tuple[int, ...], ...] | None = None  # canonical clique list
-    best_bound: int | None = None
-    parts: list[tuple[int, ...]] = []
-    sizes: list[int] = []  # sizes >= 2 of the parts, ascending
-    branches: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-
-    def search(uncovered: int, weighted: int, l: int) -> None:
-        """Branch on the lowest uncovered vertex, pruning each child before entry.
-
-        `weighted` is sum_i (i-1) q_i over the parts' sizes >= 2 in
-        descending order and `l` the number of singleton parts.
-        """
-        nonlocal best_key, best_bound
-        if uncovered not in branches:
-            v = (uncovered & -uncovered).bit_length() - 1
-            branches[uncovered] = [
-                (clique, sum(1 << u for u in clique))
-                for clique in _cliques_containing(v, uncovered, masks)
-            ]
-        k = len(sizes)
-        for clique, mask in branches[uncovered]:
-            rest = uncovered & ~mask
-            q = len(clique)
-            if q == 1:
-                pos, kk, w, ll = -1, k, weighted, l + 1
-            else:
-                # q goes after the sizes >= q in descending order; each
-                # smaller size moves one place down
-                pos = bisect.bisect_left(sizes, q)
-                kk, w, ll = k + 1, weighted + (k - pos) * q + sum(sizes[:pos]), l
-            bound = kk + w + kk * ll + (ll * ll) // 4
-            if best_bound is not None and bound - (-rest.bit_count() // omega) > best_bound:
-                continue
-            parts.append(clique)
-            if not rest:
-                key = _canonical_cliques(parts)
-                if best_bound is None or bound < best_bound or key < best_key:
-                    best_bound, best_key = bound, key
-            elif pos < 0:
-                search(rest, w, ll)
-            else:
-                sizes.insert(pos, q)
-                search(rest, w, ll)
-                del sizes[pos]
-            parts.pop()
-
-    search(full, 0, 0)
-    assert best_key is not None and best_bound is not None
-    return CliqueCover(best_key), best_bound
+    search = CliquePartitions(G)
+    best_key = None
+    for parts, bound in search:
+        key = tuple(sorted(parts, key=lambda c: (-len(c), c)))
+        if best_key is None or bound < search.max_bound or key < best_key:
+            best_key, search.max_bound = key, bound
+    return CliqueCover(best_key), search.max_bound
 
 
 def min_clique_cover_size(G: PatternGraph) -> int:
     """Minimum number of cliques covering all vertices (cardinality, not bound)."""
-    masks = G.adjacency_masks()
-    omega = max(1, max_clique_size(G))
-    full = (1 << G.n) - 1
-    best = G.n  # all singletons always works
-
-    def search(uncovered: int, used: int) -> None:
-        nonlocal best
-        if uncovered == 0:
-            best = min(best, used)
-            return
-        if used + -(-uncovered.bit_count() // omega) >= best:
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        for clique in _cliques_containing(v, uncovered, masks):
-            mask = 0
-            for u in clique:
-                mask |= 1 << u
-            search(uncovered & ~mask, used + 1)
-
-    search(full, 0)
-    return best
+    search = CliquePartitions(G, max_parts=G.n - 1)  # n singletons always cover
+    for parts, _ in search:
+        search.max_parts = len(parts) - 1
+    return search.max_parts + 1
 
 
 def is_small_empty_pattern(G: PatternGraph) -> bool:

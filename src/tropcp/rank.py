@@ -23,12 +23,12 @@ witness on a fresh kernel: shortest paths in the doubled graph give exact
 bounds for each coordinate, and the roots of the equality components are
 fixed one at a time at their least feasible values.
 
-Diagonal entries are assigned first as a "zero-set skeleton": a partition
-of the vertices into cliques of the pattern graph, one part per factor
-that holds zeros.  Branch and bound over skeletons and entry assignments
-is complete, so a fully exhausted search is a proof of CP-rank > r;
-resource-guard interruptions are reported as undetermined, never as
-refutation.
+Diagonal entries are assigned first as a "zero-set skeleton": one of the
+partitions of the vertices into at most r cliques of the pattern graph
+that `graphs.CliquePartitions` walks, one part per factor holding zeros.
+Branch and bound over skeletons and entry assignments is complete, so a
+fully exhausted search is a proof of CP-rank > r; resource-guard
+interruptions are reported as undetermined, never as refutation.
 
 The exact sweep starts at the larger of two lower bounds.
 `rank_lower_bound` is combinatorial (edge and vertex clique covers of the
@@ -51,7 +51,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .analysis import (
     is_completely_positive,
@@ -68,7 +68,7 @@ from .core import (
     scaled_rows,
 )
 from .graphs import (
-    _cliques_containing,
+    CliquePartitions,
     edge_clique_cover_number,
     min_clique_cover_size,
     pattern_graph,
@@ -362,30 +362,6 @@ def _finite_offdiag_requirements(A: SymTropMatrix) -> list[tuple[int, int, Fract
     return [(i, j, val) for val, i, j in reqs]
 
 
-def _clique_partitions(
-    masks: list[int], n: int, max_parts: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of {0..n-1} into at most max_parts cliques, canonically."""
-    parts: list[tuple[int, ...]] = []
-
-    def rec(uncovered: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if uncovered == 0:
-            yield tuple(parts)
-            return
-        if len(parts) >= max_parts:
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        for clique in _cliques_containing(v, uncovered, masks):
-            mask = 0
-            for u in clique:
-                mask |= 1 << u
-            parts.append(clique)
-            yield from rec(uncovered & ~mask)
-            parts.pop()
-
-    yield from rec((1 << n) - 1)
-
-
 class _FactorBuild:
     """Mutable factor state during the assignment search.
 
@@ -531,14 +507,13 @@ def cp_rank_leq(
     if r < 1:
         raise ValueError("r must be >= 1")
     G = pattern_graph(A)
-    masks = G.adjacency_masks()
     reqs = _finite_offdiag_requirements(A)
     budget = _Budget(node_limit, timeout_s)
     stats = SearchStats()
     start = time.monotonic()
     status, dec = REFUTED, None
     try:
-        for parts in _clique_partitions(masks, A.n, r):
+        for parts, _ in CliquePartitions(G, max_parts=r):
             stats.skeletons += 1
             vectors = _search_skeleton(A, r, parts, reqs, budget, stats)
             if vectors is not None:

@@ -14,14 +14,17 @@ versions of its integer kernels, on `TropScalar` and `Fraction` values
 and without memos or incremental state; the kernels must agree with them
 exactly.  `reference_solve_factor_system` is the Fourier-Motzkin solver
 that built the exact-rank search's leaf witnesses before the integer
-UTVPI kernel did.
+UTVPI kernel did.  The clique-partition references are the three
+separate recursions that `graphs.CliquePartitions` replaced, with their
+own clique lister, so the library's search is checked against code it
+does not call.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from tropcp import (
     INF,
@@ -35,7 +38,6 @@ from tropcp import (
     is_exact_decomposition,
     ordered_cover_bound,
 )
-from tropcp.graphs import _cliques_containing, max_clique_size
 
 
 def all_cliques(G: PatternGraph) -> list[tuple[int, ...]]:
@@ -220,10 +222,80 @@ def reference_merge_pass(
     return vecs
 
 
+def reference_cliques_containing(
+    v: int, allowed: int, masks: list[int]
+) -> list[tuple[int, ...]]:
+    """Cliques within the `allowed` bitmask containing v as their lowest
+    vertex, largest first, then lexicographically."""
+    found: list[tuple[int, ...]] = []
+
+    def grow(members: list[int], candidates: int) -> None:
+        found.append(tuple(members))
+        m = candidates
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            grow(members + [u], candidates & masks[u] & ~((1 << (u + 1)) - 1))
+
+    grow([v], masks[v] & allowed & ~((1 << (v + 1)) - 1))
+    return sorted(found, key=lambda c: (-len(c), c))
+
+
+def reference_clique_partitions(
+    G: PatternGraph, max_parts: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All partitions of G's vertices into at most max_parts cliques,
+    canonically: lowest uncovered vertex first, then its cliques in
+    `reference_cliques_containing` order."""
+    masks = G.adjacency_masks()
+    parts: list[tuple[int, ...]] = []
+
+    def rec(uncovered: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if uncovered == 0:
+            yield tuple(parts)
+            return
+        if len(parts) >= max_parts:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        for clique in reference_cliques_containing(v, uncovered, masks):
+            mask = 0
+            for u in clique:
+                mask |= 1 << u
+            parts.append(clique)
+            yield from rec(uncovered & ~mask)
+            parts.pop()
+
+    yield from rec((1 << G.n) - 1)
+
+
+def reference_min_clique_cover_size(G: PatternGraph) -> int:
+    """Fewest cliques covering the vertices, by a separate branch and bound."""
+    masks = G.adjacency_masks()
+    omega = max(len(c) for c in all_cliques(G))
+    best = G.n  # all singletons always works
+
+    def search(uncovered: int, used: int) -> None:
+        nonlocal best
+        if uncovered == 0:
+            best = min(best, used)
+            return
+        if used + -(-uncovered.bit_count() // omega) >= best:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        for clique in reference_cliques_containing(v, uncovered, masks):
+            mask = 0
+            for u in clique:
+                mask |= 1 << u
+            search(uncovered & ~mask, used + 1)
+
+    search((1 << G.n) - 1, 0)
+    return best
+
+
 def reference_min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
     """The cover-bound search recomputing the partial bound at every node."""
     masks = G.adjacency_masks()
-    omega = max(1, max_clique_size(G))
+    omega = max(len(c) for c in all_cliques(G))
     full = (1 << G.n) - 1
 
     best_cover: list[tuple[int, ...]] | None = None
@@ -256,7 +328,7 @@ def reference_min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
                 best_cover = list(parts)
             return
         v = (uncovered & -uncovered).bit_length() - 1
-        for clique in _cliques_containing(v, uncovered, masks):
+        for clique in reference_cliques_containing(v, uncovered, masks):
             mask = 0
             for u in clique:
                 mask |= 1 << u

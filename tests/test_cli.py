@@ -251,6 +251,24 @@ class TestGen:
         assert main(["gen", paw_graph_file, "--seed", "1", "--out", str(target)]) == 0
         assert parse_matrix(target.read_text()).n == 4
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--max-numerator", "0", "max numerator and denominator must be >= 1"),
+            ("--max-denominator", "0", "got 6, 0 and 0.0"),
+            ("--inf-probability", "1.5", "inf probability in [0, 1]"),
+            ("--inf-probability", "-0.1", "got 6, 3 and -0.1"),
+        ],
+    )
+    def test_out_of_range_numbers_exit_two(
+        self, capsys, paw_graph_file, tmp_path, option, value, message
+    ):
+        target = tmp_path / "inst.tmat"
+        argv = ["gen", paw_graph_file, "--seed", "1", "--out", str(target), option, value]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not target.exists()
+
 
 class TestSelftest:
     def test_quick_corpus_passes(self, capsys):
@@ -263,6 +281,15 @@ class TestSelftest:
 class TestUsage:
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/file.tmat"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["cc"], ["gen", "--seed", "1"], ["witness", "--raw", "1", "2"]]
+    )
+    def test_graph_without_vertices_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.tgraph"
+        path.write_text("0 0\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert "vertex count must be >= 1" in capsys.readouterr().err
 
     def test_no_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,11 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tropcp.graphs as graphs_mod
+import tropcp.rank as rank_mod
 from tropcp import (
     CliqueCover,
     PatternGraph,
     SymTropMatrix,
     cover_bound,
+    cp_rank_leq,
     cp_rank_upper_bound,
     diameter,
     diameter_witness_matrix,
@@ -33,21 +36,32 @@ from tropcp.corpus import (
     rank_six_5x5,
 )
 from tropcp.generators import random_pattern_graph
-from tropcp.rank import _clique_partitions
+from tropcp.graphs import CliquePartitions
 
 from oracles import (
+    all_cliques,
     brute_edge_clique_cover,
     brute_min_cover_bound,
+    reference_clique_partitions,
+    reference_min_clique_cover_size,
     reference_min_cover_bound,
 )
 
 
 @st.composite
-def graphs_up_to_ten(draw):
-    n = draw(st.integers(1, 10))
+def graphs_up_to(draw, max_n):
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
     return PatternGraph(n, [e for e in pairs if draw(st.floats(0, 1)) < p])
+
+
+def every_graph_up_to_five():
+    """All 1,099 labelled graphs with n <= 5."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield PatternGraph(n, [e for b, e in enumerate(pairs) if bits >> b & 1])
 
 
 class TestPatternGraph:
@@ -189,22 +203,127 @@ class TestMinCoverBound:
         # all 1,099 labelled graphs with n <= 5; on 860 of them several
         # clique partitions attain the minimum, so the tie-break decides
         tied = 0
-        for n in range(1, 6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for bits in range(1 << len(pairs)):
-                G = PatternGraph(n, [e for b, e in enumerate(pairs) if bits >> b & 1])
-                cover, bound = min_cover_bound(G)
-                assert (cover, bound) == reference_min_cover_bound(G)
-                partitions = _clique_partitions(G.adjacency_masks(), n, n)
-                bounds = [cover_bound(CliqueCover(p)) for p in partitions]
-                assert min(bounds) == bound
-                tied += bounds.count(bound) > 1
+        for G in every_graph_up_to_five():
+            cover, bound = min_cover_bound(G)
+            assert (cover, bound) == reference_min_cover_bound(G)
+            bounds = [b for _, b in CliquePartitions(G)]
+            assert min(bounds) == bound
+            tied += bounds.count(bound) > 1
         assert tied == 860
 
     @settings(max_examples=150, deadline=None)
-    @given(graphs_up_to_ten())
+    @given(graphs_up_to(10))
     def test_matches_reference_search(self, G):
         assert min_cover_bound(G) == reference_min_cover_bound(G)
+
+
+def skeletons_searched(monkeypatch, G, r):
+    """The zero-set skeletons `cp_rank_leq` tries, in order, on a matrix
+    with pattern G when no skeleton admits a decomposition."""
+    tried = []
+
+    def record(A, r, parts, reqs, budget, stats):
+        tried.append(tuple(parts))
+        return None
+
+    monkeypatch.setattr(rank_mod, "_search_skeleton", record)
+    A = SymTropMatrix.from_upper_func(
+        G.n, lambda i, j: 0 if i == j or G.has_edge(i, j) else 1
+    )
+    assert cp_rank_leq(A, r).status == "refuted"
+    return tried
+
+
+class TestCliquePartitions:
+    def test_every_partition_with_its_bound_by_default(self):
+        for G in every_graph_up_to_five():
+            got = list(CliquePartitions(G))
+            assert [parts for parts, _ in got] == list(
+                reference_clique_partitions(G, G.n)
+            )
+            assert all(b == cover_bound(CliqueCover(parts)) for parts, b in got)
+
+    def test_rank_skeletons_match_reference_on_every_graph_up_to_five(
+        self, monkeypatch
+    ):
+        for G in every_graph_up_to_five():
+            for r in range(1, G.n + 1):
+                expected = list(reference_clique_partitions(G, r))
+                assert skeletons_searched(monkeypatch, G, r) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_up_to(9), st.integers(1, 9))
+    def test_max_parts_matches_reference(self, G, r):
+        r = min(r, G.n)
+        got = [parts for parts, _ in CliquePartitions(G, max_parts=r)]
+        assert got == list(reference_clique_partitions(G, r))
+
+    def test_limits_lowered_between_yields(self):
+        # each yield lowers a limit to one below what it just saw; the
+        # search must then yield exactly the reference partitions that
+        # beat every earlier one
+        for G in every_graph_up_to_five():
+            everything = list(CliquePartitions(G))
+            for limit, measure in (
+                ("max_parts", lambda item: len(item[0])),
+                ("max_bound", lambda item: item[1]),
+            ):
+                expected, best = [], None
+                for item in everything:
+                    if best is None or measure(item) < best:
+                        expected.append(item)
+                        best = measure(item)
+                search = CliquePartitions(G)
+                got = []
+                for item in search:
+                    got.append(item)
+                    setattr(search, limit, measure(item) - 1)
+                assert got == expected
+
+    @pytest.mark.parametrize("limit, value", [("max_parts", 0), ("max_bound", -1)])
+    def test_no_branch_entered_after_limits_exclude_everything(
+        self, monkeypatch, limit, value
+    ):
+        # a sibling entered under a stale limit would list its cliques
+        # before its own frame pruned them
+        listed = []
+
+        def counting(allowed, masks):
+            listed.append(allowed)
+            return cliques_containing(allowed, masks)
+
+        cliques_containing = graphs_mod._cliques_containing
+        monkeypatch.setattr(graphs_mod, "_cliques_containing", counting)
+        for G in every_graph_up_to_five():
+            partitions = CliquePartitions(G)
+            search = iter(partitions)
+            next(search)
+            setattr(partitions, limit, value)
+            before = len(listed)
+            assert next(search, None) is None
+            assert len(listed) == before
+
+
+class TestMinCliqueCoverSize:
+    @staticmethod
+    def brute(G):
+        cliques = all_cliques(G)
+        vertices = set(range(G.n))
+        for size in range(1, G.n + 1):
+            for subset in itertools.combinations(cliques, size):
+                if set().union(*subset) == vertices:
+                    return size
+
+    def test_every_graph_up_to_five(self):
+        for G in every_graph_up_to_five():
+            size = min_clique_cover_size(G)
+            assert size == reference_min_clique_cover_size(G)
+            assert size == self.brute(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_up_to(10))
+    def test_matches_reference_search(self, G):
+        assert min_clique_cover_size(G) == reference_min_clique_cover_size(G)
 
 
 class TestUpperBound:

@@ -96,6 +96,11 @@ class TestGraphFormat:
         with pytest.raises(ParseError):
             parse_graph("3 1\n2 2\n")
 
+    @pytest.mark.parametrize("text", ["0 0\n", "-2 0\n"])
+    def test_rejects_fewer_than_one_vertex(self, text):
+        with pytest.raises(ParseError, match="vertex count"):
+            parse_graph(text)
+
     def test_edge_count_mismatch(self):
         with pytest.raises(ParseError, match="expected 2 edge lines"):
             parse_graph("3 2\n1 2\n")
@@ -151,6 +156,23 @@ class TestGenerators:
         A = generate_instance(PatternGraph.empty(5), 7)
         assert not pattern_graph(A).edges
         assert is_completely_positive(A)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_numerator": 0},
+            {"max_denominator": 0},
+            {"inf_probability": -0.5},
+            {"inf_probability": 1.5},
+        ],
+    )
+    def test_out_of_range_numbers_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            generate_instance(paw_graph(), 1, **kwargs)
+
+    def test_certain_inf_accepted(self):
+        A = generate_instance(PatternGraph.empty(3), 1, inf_probability=1.0)
+        assert all(A[i, j].is_inf for i in range(3) for j in range(3) if i != j)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_cp_matrix_is_cp(self, seed):
