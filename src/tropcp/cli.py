@@ -39,7 +39,6 @@ from .rank import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIMEOUT_S,
     cp_rank_exact,
-    threads_from_env,
 )
 from .reports import dump_report, embed_decomposition, make_report, matrix_digest
 from .selftest import run_selftest
@@ -112,6 +111,8 @@ def cmd_normalize(args) -> int:
         C, record = normalize(A)
     except NotCompletelyPositiveError:
         return _not_cp()
+    except ValueError as exc:  # every diagonal entry is infinite
+        raise _InputError(str(exc)) from None
     if args.raw:
         _emit(render_matrix(C), args.out)
         return EXIT_OK
@@ -159,6 +160,8 @@ def cmd_bound(args) -> int:
         C, _ = normalize(A)
     except NotCompletelyPositiveError:
         return _not_cp()
+    except ValueError as exc:  # every diagonal entry is infinite
+        raise _InputError(str(exc)) from None
     G = pattern_graph(C)
     cover, bound = min_cover_bound(G)
     # cp_rank_upper_bound, reusing this cover search
@@ -185,6 +188,8 @@ def cmd_decompose(args) -> int:
         dec, (_, blocks, tail_mode) = decompose_cp_detailed(A)
     except NotCompletelyPositiveError:
         return _not_cp()
+    except ValueError as exc:  # every diagonal entry is infinite
+        raise _InputError(str(exc)) from None
     report = make_report(
         "decompose",
         matrix_digest(A),
@@ -209,7 +214,7 @@ def cmd_rank(args) -> int:
         r_max=args.max_r,
         node_limit=args.node_limit,
         timeout_s=args.timeout_s,
-        threads=threads_from_env() if args.threads is None else args.threads,
+        threads=args.threads,
     )
     payload = {
         "status": cert.status,
@@ -343,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="accepted; the search runs serially (default: TROPCP_THREADS or 1)",
+        default=1,
+        help="deprecated: accepted and ignored; the search runs serially",
     )
 
     p = add("cc", cmd_cc, "exact edge clique cover number")
@@ -371,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # built once: parse_args leaves the parser as it was, and no default depends
-# on the environment (--threads reads TROPCP_THREADS in cmd_rank)
+# on the environment
 _parser = functools.cache(build_parser)
 
 

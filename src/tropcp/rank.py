@@ -16,12 +16,13 @@ feasibility problem:
 Every constraint has two unit coefficients, so the system is a UTVPI
 (octagon) system: it has a rational solution exactly when its doubled
 difference-constraint graph has no negative cycle.  The search scales the
-matrix by the lcm of its denominators once and decides each search node
-with an incremental negative-cycle check on Python ints (`_Utvpi`).  At a
-found leaf, `solve_factor_system` builds each factor's deterministic
-witness on a fresh kernel: shortest paths in the doubled graph give exact
-bounds for each coordinate, and the roots of the equality components are
-fixed one at a time at their least feasible values.
+matrix by the lcm of its denominators once and keeps each factor's system
+in one incremental negative-cycle check on Python ints (`_FactorBuild`, a
+`_Utvpi`), which decides every search node.  At a found leaf `_witness`
+builds each factor's deterministic witness on that same kernel: shortest
+paths in the doubled graph give exact bounds for each coordinate, and the
+roots of the equality components are fixed one at a time at their least
+feasible values.
 
 Diagonal entries are assigned first as a "zero-set skeleton": one of the
 partitions of the vertices into at most r cliques of the pattern graph
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,37 +114,53 @@ class FactorConstraintSystem:
 def solve_factor_system(system: FactorConstraintSystem) -> Optional[TropVector]:
     """An exact solution of the factor system, or None when refuted.
 
-    The system is scaled to ints and loaded into a `_Utvpi`.  The witness
-    is deterministic: the roots of the equality components (the first
-    coordinate of each equality absorbs the second's component) are fixed
-    from the largest index down, each at its least feasible value given
-    the roots fixed before it, or at min(upper bound, 0) when it has no
-    lower bound; every other coordinate then follows from its component.
-    The shortest-path bounds are exact over the rationals, so this is the
-    point that eliminating the roots in ascending order and substituting
-    back picks.  The witness extends to infinity outside the support.
+    The system is scaled to ints and loaded into a `_Utvpi`, and `_witness`
+    builds the same witness from it that the search builds at a found leaf.
     """
+    constraints = system.equalities + system.inequalities
+    scale = math.lcm(1, *(c.denominator for _, _, c in constraints))
     # b_z = 0 and each equality are an upper and a lower bound
-    uppers = [(z, z, Fraction(0)) for z in system.zeros] + list(system.equalities)
-    lowers = uppers + list(system.inequalities)
-    scale = math.lcm(1, *(c.denominator for _, _, c in lowers))
+    equalities = [(z, z, 0) for z in system.zeros]
+    equalities += [(i, j, int(c * scale)) for i, j, c in system.equalities]
+    lowers = equalities + [(i, j, int(c * scale)) for i, j, c in system.inequalities]
     kernel = _Utvpi(system.n)
     for t in sorted(system.support):
         kernel.add_var(t, ())
-    if not (
-        all(kernel.add_upper(i, j, int(c * scale)) for i, j, c in uppers)
-        and all(kernel.add_lower(i, j, int(c * scale)) for i, j, c in lowers)
+    if not all(kernel.add_upper(*e) for e in equalities) or not all(
+        kernel.add_lower(*l) for l in lowers
     ):
         return None
+    return _witness(kernel, equalities, lowers, scale)
 
-    parent = {t: t for t in system.support}
+
+def _witness(
+    kernel: _Utvpi,
+    equalities: Sequence[tuple[int, int, int]],
+    lowers: Sequence[tuple[int, int, int]],
+    scale: int,
+) -> Optional[TropVector]:
+    """The deterministic witness of a feasible kernel; None when its recheck fails.
+
+    `equalities` are the kernel's x_i + x_j = c as (i, j, c) in order, with
+    b_z = 0 as (z, z, 0), and `lowers` its x_i + x_j >= c, all on the
+    matrix scaled by `scale`.  The roots of the equality components (the
+    first coordinate of each equality absorbs the second's component) are
+    fixed in the kernel from the largest index down, each at its least
+    feasible value given the roots fixed before it, or at min(upper bound,
+    0) when it has no lower bound; every other coordinate then follows
+    from its component.  The shortest-path bounds are exact over the
+    rationals, so this is the point that eliminating the roots in
+    ascending order and substituting back picks.  The witness extends to
+    infinity outside the kernel's variables.
+    """
+    parent = {t: t for t in kernel.vars}
 
     def find(t: int) -> int:
         while parent[t] != t:
             t = parent[t]
         return t
 
-    for i, j, _ in system.equalities:
+    for i, j, _ in equalities:
         parent[find(j)] = find(i)
     for t in sorted((t for t in parent if parent[t] == t), reverse=True):
         # 2 * x_t >= -path(2t, 2t + 1) and 2 * x_t <= path(2t + 1, 2t)
@@ -160,13 +176,14 @@ def solve_factor_system(system: FactorConstraintSystem) -> Optional[TropVector]:
     # every coordinate is now fixed, so the potentials of its two nodes lie
     # on a zero-weight cycle and differ by exactly 2 * x_t
     dist = kernel.dist
-    x = {t: Fraction(dist[2 * t] - dist[2 * t + 1], 2 * scale) for t in system.support}
-    # exact safety recheck of the raw system
-    if any(x[i] + x[j] != c for i, j, c in uppers) or any(
-        x[i] + x[j] < c for i, j, c in system.inequalities
+    x2 = {t: dist[2 * t] - dist[2 * t + 1] for t in kernel.vars}
+    # exact safety recheck of the raw system, on 2 * x
+    if any(x2[i] + x2[j] != 2 * c for i, j, c in equalities) or any(
+        x2[i] + x2[j] < 2 * c for i, j, c in lowers
     ):
         return None
-    return TropVector([TropScalar(x[t]) if t in x else INF for t in range(system.n)])
+    n = len(dist) // 2
+    return TropVector([Fraction(x2[t], 2 * scale) if t in x2 else INF for t in range(n)])
 
 
 class _Utvpi:
@@ -178,24 +195,26 @@ class _Utvpi:
     (one edge when i == j).  The system is feasible over the rationals
     exactly when this graph has no negative cycle.  `dist` keeps potentials
     with dist[v] <= dist[u] + w on every edge while the system is feasible;
-    each addition relaxes only from the tails of the new edges.  `mark` and
-    `undo` roll back edges, variables and potentials along a DFS; after an
+    each addition relaxes only from the tails of the new edges.  `vars`
+    lists the variables in the order they were added.  `mark` and `undo`
+    roll back edges, variables and potentials along a DFS; after an
     infeasible addition only `undo` may follow.
     """
 
-    __slots__ = ("dist", "out", "nvars", "_edges")
+    __slots__ = ("dist", "out", "vars", "_edges")
 
     def __init__(self, n: int):
         self.dist = [0] * (2 * n)
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-        self.nvars = 0
+        self.vars: list[int] = []
         self._edges: list[int] = []  # tail of every edge, in insertion order
 
     def mark(self) -> tuple[int, list[int], int]:
-        return len(self._edges), self.dist[:], self.nvars
+        return len(self._edges), self.dist[:], len(self.vars)
 
     def undo(self, mark: tuple[int, list[int], int]) -> None:
-        n_edges, self.dist[:], self.nvars = mark
+        n_edges, self.dist[:], n_vars = mark
+        del self.vars[n_vars:]
         out, edges = self.out, self._edges
         for u in reversed(edges[n_edges:]):
             out[u].pop()
@@ -221,7 +240,7 @@ class _Utvpi:
                 out[2 * s].append((minus, -c))
                 edges.append(2 * s)
         dist[plus], dist[minus] = high, low
-        self.nvars += 1
+        self.vars.append(t)
 
     def add_lower(self, i: int, j: int, c: int) -> bool:
         """Add x_i + x_j >= c; whether the system is still feasible."""
@@ -261,10 +280,10 @@ class _Utvpi:
             out[u2].append((v2, w))
             edges.append(u2)
         # Bellman-Ford from the current potentials, relaxing only out of
-        # nodes that changed; with 2 * nvars nodes it settles within that
-        # many rounds unless a negative cycle keeps it going.
+        # nodes that changed; with 2 * len(vars) nodes it settles within
+        # that many rounds unless a negative cycle keeps it going.
         frontier: Iterable[int] = (u1, u2)
-        for _ in range(2 * self.nvars):
+        for _ in range(2 * len(self.vars)):
             changed = set()
             for u in frontier:
                 du = dist[u]
@@ -352,127 +371,101 @@ class _Budget:
             raise _Guard
 
 
-def _finite_offdiag_requirements(A: SymTropMatrix) -> list[tuple[int, int, Fraction]]:
-    reqs = [
-        (v.finite, i, j)
-        for i, j, v in A.upper_entries()
-        if i != j and not v.is_inf
-    ]
-    reqs.sort()
-    return [(i, j, val) for val, i, j in reqs]
+def _finite_offdiag_requirements(C: list[list[Optional[int]]]) -> list[tuple[int, int, int]]:
+    """The finite entries c = C[i][j] with i < j, as (i, j, c) in (c, i, j) order."""
+    n = len(C)
+    reqs = [(C[i][j], i, j) for i in range(n) for j in range(i + 1, n) if C[i][j] is not None]
+    return [(i, j, c) for c, i, j in sorted(reqs)]
 
 
-class _FactorBuild:
-    """Mutable factor state during the assignment search.
+class _FactorBuild(_Utvpi):
+    """One factor's system during the assignment search, on the scaled rows C.
 
-    `support` and `equalities` describe the factor system exactly, for
-    `solve_factor_system` at a found leaf; `kernel` holds the same system
-    on the scaled matrix `C` (ints, None for inf) and decides feasibility
-    at every node.
+    The kernel holds b_t >= 0, b_s + b_t >= a_st and b_z = 0 for its
+    variables `vars` (the factor's finite coordinates) and b_i + b_j <= a_ij
+    for each entry in `assigned`, as (i, j, scaled value).  It decides
+    feasibility at every node and, at a found leaf, builds the factor's
+    witness.
     """
 
-    __slots__ = ("zeros", "support", "equalities", "C", "kernel", "_undo")
+    __slots__ = ("zeros", "assigned", "C", "_marks")
 
     def __init__(self, zeros: frozenset[int], C: list[list[Optional[int]]]):
+        super().__init__(len(C))
         self.zeros = zeros
-        self.support: set[int] = set()
-        self.equalities: list[tuple[int, int, Fraction]] = []
+        self.assigned: list[tuple[int, int, int]] = []
         self.C = C
-        self.kernel = _Utvpi(len(C))
-        self._undo: list[tuple[tuple[int, list[int], int], list[int]]] = []
+        self._marks: list[tuple[int, list[int], int]] = []
         # b_z = 0: with the zero diagonal as its lower half; a zero set is a
         # clique of zero entries, so this never fails
         for z in sorted(zeros):
             self._add_coordinate(z)
-            self.kernel.add_upper(z, z, 0)
-
-    def touched(self) -> bool:
-        return bool(self.support) or bool(self.equalities)
+            self.add_upper(z, z, 0)
 
     def _add_coordinate(self, t: int) -> bool:
         """Make b_t finite; False when an inf entry pairs it with the support."""
         row = self.C[t]
-        lowers = [(s, row[s]) for s in self.support]
+        lowers = [(s, row[s]) for s in self.vars]
         if any(c is None for _, c in lowers):
             return False
         lowers.append((t, row[t]))
-        self.kernel.add_var(t, lowers)
-        self.support.add(t)
+        self.add_var(t, lowers)
         return True
 
-    def push(self, i: int, j: int, value: Fraction, scaled: int) -> bool:
-        """Let this factor achieve a_ij = value (scaled in C); whether it stays feasible."""
-        added = [t for t in (i, j) if t not in self.support]
-        self._undo.append((self.kernel.mark(), added))
-        self.equalities.append((i, j, value))
-        for t in added:
-            if not self._add_coordinate(t):
+    def push(self, i: int, j: int, c: int) -> bool:
+        """Let this factor achieve the scaled entry c at (i, j); whether it stays feasible."""
+        self._marks.append(self.mark())
+        self.assigned.append((i, j, c))
+        for t in (i, j):
+            if t not in self.vars and not self._add_coordinate(t):
                 return False
-        return self.kernel.add_upper(i, j, scaled)
+        return self.add_upper(i, j, c)
 
     def pop(self) -> None:
-        mark, added = self._undo.pop()
-        self.kernel.undo(mark)
-        self.equalities.pop()
-        self.support.difference_update(added)
+        self.undo(self._marks.pop())
+        self.assigned.pop()
 
-
-def _factor_system(A: SymTropMatrix, f: _FactorBuild) -> FactorConstraintSystem:
-    """The factor's full exact system; its support holds finite entries only."""
-    support = sorted(f.support)
-    inequalities = [
-        (s, t, A[s, t].finite) for a_idx, s in enumerate(support) for t in support[a_idx:]
-    ]
-    return FactorConstraintSystem(
-        n=A.n,
-        support=frozenset(support),
-        zeros=f.zeros,
-        equalities=tuple(f.equalities),
-        inequalities=tuple(inequalities),
-    )
+    def witness(self, scale: int) -> Optional[TropVector]:
+        """The factor's exact witness (see `_witness`); it fixes coordinates
+        in this kernel, so only `undo` may follow."""
+        C, support = self.C, sorted(self.vars)
+        equalities = [(z, z, 0) for z in self.zeros] + self.assigned
+        lowers = [(s, t, C[s][t]) for k, s in enumerate(support) for t in support[k:]]
+        return _witness(self, equalities, lowers, scale)
 
 
 def _search_skeleton(
-    A: SymTropMatrix,
+    C: list[list[Optional[int]]],
+    scale: int,
     r: int,
     parts: Sequence[tuple[int, ...]],
-    reqs: Sequence[tuple[int, int, Fraction]],
+    reqs: Sequence[tuple[int, int, int]],
     budget: _Budget,
     stats: SearchStats,
 ) -> Optional[list[TropVector]]:
     """DFS over requirement assignments for one zero-set skeleton.
 
-    Returns the factors or None when this skeleton is exhausted.  Raises
-    _Guard on budget exhaustion.
+    C is the matrix scaled by `scale`.  Returns the factors or None when
+    this skeleton is exhausted.  Raises _Guard on budget exhaustion.
     """
-    C, scale = scaled_rows(A)
-    scaled = [int(value * scale) for _, _, value in reqs]
     factors = [_FactorBuild(frozenset(p), C) for p in parts]
     factors += [_FactorBuild(frozenset(), C) for _ in range(r - len(parts))]
     n_fixed = len(parts)
 
     def rec(depth: int) -> Optional[list[TropVector]]:
         if depth == len(reqs):
-            out: list[TropVector] = []
-            for f in factors:
-                if not f.touched():
-                    continue
-                witness = solve_factor_system(_factor_system(A, f))
-                if witness is None:
-                    raise AssertionError(
-                        "factor system feasible in the search but its witness fails the recheck"
-                    )
-                out.append(witness)
+            out = [f.witness(scale) for f in factors if f.vars]
+            if any(w is None for w in out):
+                raise AssertionError(
+                    "factor system feasible in the search but its witness fails the recheck"
+                )
             return out
-        i, j, value = reqs[depth]
-        touched_spares = sum(
-            1 for f in factors[n_fixed:] if f.touched()
-        )
+        i, j, c = reqs[depth]
+        touched_spares = sum(1 for f in factors[n_fixed:] if f.vars)
         limit = min(r, n_fixed + touched_spares + 1)
-        for f_idx in range(limit):
-            f = factors[f_idx]
+        for f in factors[:limit]:
             budget.tick()
-            if f.push(i, j, value, scaled[depth]):
+            if f.push(i, j, c):
                 result = rec(depth + 1)
                 if result is not None:
                     return result
@@ -507,7 +500,8 @@ def cp_rank_leq(
     if r < 1:
         raise ValueError("r must be >= 1")
     G = pattern_graph(A)
-    reqs = _finite_offdiag_requirements(A)
+    C, scale = scaled_rows(A)
+    reqs = _finite_offdiag_requirements(C)
     budget = _Budget(node_limit, timeout_s)
     stats = SearchStats()
     start = time.monotonic()
@@ -515,7 +509,7 @@ def cp_rank_leq(
     try:
         for parts, _ in CliquePartitions(G, max_parts=r):
             stats.skeletons += 1
-            vectors = _search_skeleton(A, r, parts, reqs, budget, stats)
+            vectors = _search_skeleton(C, scale, r, parts, reqs, budget, stats)
             if vectors is not None:
                 status, dec = FOUND, Decomposition(A, vectors)
                 break
@@ -753,17 +747,3 @@ def zero_one_rank(A: SymTropMatrix) -> int:
     cc, _ = edge_clique_cover_number(G)
     isolated = sum(1 for v in range(G.n) if not G.neighbors(v))
     return cc + isolated
-
-
-def threads_from_env(default: int = 1) -> int:
-    """The `--threads` default, from TROPCP_THREADS.
-
-    Accepted for `cp_rank_exact`'s `threads`; the search runs serially.
-    """
-    raw = os.environ.get("TROPCP_THREADS")
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default

@@ -153,23 +153,14 @@ class TestDecomposeAndRank:
         assert dec.rank == 6
         assert report["stats"]["nodes"] > 0
 
-    def test_threads_env_read_at_each_call(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "paw.tmat"
-        path.write_text(render_matrix(paw_matrix(1, 2)))
-        real = tropcp.cli.cp_rank_exact
-        seen = []
-
-        def recording(A, **kwargs):
-            seen.append(kwargs["threads"])
-            return real(A, **{**kwargs, "threads": 1})
-
-        monkeypatch.setattr(tropcp.cli, "cp_rank_exact", recording)
-        monkeypatch.delenv("TROPCP_THREADS", raising=False)
-        assert run(capsys, "rank", str(path))[0] == 0
-        monkeypatch.setenv("TROPCP_THREADS", "2")
-        assert run(capsys, "rank", str(path))[0] == 0
-        assert run(capsys, "rank", str(path), "--threads", "1")[0] == 0
-        assert seen == [1, 2, 1]
+    def test_threads_is_accepted_and_ignored(self, capsys, paw_file):
+        reports = []
+        for argv in ([], ["--threads", "1"], ["--threads", "2"]):
+            code, report = run_json(capsys, "rank", paw_file, *argv)
+            report["timing_s"] = report["stats"]["wall_time_s"] = None
+            reports.append((code, report))
+        assert reports[0][0] == 0
+        assert reports[0] == reports[1] == reports[2]
 
     def test_rank_undetermined_exit_three(self, capsys, tmp_path):
         path = tmp_path / "r6.tmat"
@@ -279,6 +270,17 @@ class TestSelftest:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["normalize", "bound", "decompose"])
+    def test_all_inf_matrix_exits_two_without_a_report(self, capsys, tmp_path, command):
+        path = tmp_path / "inf.tmat"
+        path.write_text("2\ninf inf\ninf inf\n")
+        out = tmp_path / "report.json"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: every diagonal entry is infinite")
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/file.tmat"]) == 2
 

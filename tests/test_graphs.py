@@ -222,7 +222,7 @@ def skeletons_searched(monkeypatch, G, r):
     with pattern G when no skeleton admits a decomposition."""
     tried = []
 
-    def record(A, r, parts, reqs, budget, stats):
+    def record(C, scale, r, parts, reqs, budget, stats):
         tried.append(tuple(parts))
         return None
 

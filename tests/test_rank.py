@@ -297,9 +297,13 @@ class TestIntegerKernel:
                     ),
                 )
                 expected = reference_solve_factor_system(system) is not None
-            assert f.push(i, j, value, int(value * scale)) == expected
+            assert f.push(i, j, int(value * scale)) == expected
             if expected:
                 support, equalities = trial, equalities + [(i, j, value)]
+                # the leaf's witness, on the kernel; undo its fixed roots
+                mark = f.mark()
+                assert f.witness(scale) == reference_solve_factor_system(system)
+                f.undo(mark)
             else:
                 f.pop()
 
@@ -545,6 +549,25 @@ class TestSearchCounters:
             ["inf", "inf", "0", "inf", "1"],
         ]
 
+    def test_fractional_scale_certificates_pinned(self):
+        # leaf witnesses on matrices scaled by 2 and by 6
+        _, cert = cp_rank_exact(flat_3x3())
+        assert [[str(e) for e in f] for f in cert.decomposition.factors] == [
+            ["0", "1", "1"],
+            ["inf", "1/2", "1/2"],
+        ]
+        rank, cert = cp_rank_exact(n7_p03_349())
+        assert rank == 7
+        assert [[str(e) for e in f] for f in cert.decomposition.factors] == [
+            ["0", "1/2", "5/2", "4", "1", "4", "2"],
+            ["inf", "0", "4", "inf", "0", "1", "2"],
+            ["inf", "5/3", "0", "0", "inf", "inf", "inf"],
+            ["inf", "0", "inf", "inf", "inf", "0", "2/3"],
+            ["inf", "0", "4", "inf", "inf", "inf", "0"],
+            ["inf", "1", "0", "inf", "0", "inf", "inf"],
+            ["3/2", "inf", "inf", "0", "inf", "5/2", "inf"],
+        ]
+
 
 class TestBounds:
     def test_rank_six_lower_bound(self):
@@ -604,7 +627,9 @@ def search_anchor_skeleton(budget):
     """The serial search of one skeleton of the n = 7 anchor at r = 8 (1094 nodes)."""
     A = generate_instance(random_pattern_graph(7, 2, 0.3), 102)
     parts = ((0, 3), (1,), (2,), (4, 6), (5,))
-    return _search_skeleton(A, 8, parts, _finite_offdiag_requirements(A), budget, SearchStats())
+    C, scale = scaled_rows(A)
+    reqs = _finite_offdiag_requirements(C)
+    return _search_skeleton(C, scale, 8, parts, reqs, budget, SearchStats())
 
 
 class TestGuards:
