@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Building explicit rank-one factors from a clique cover.
 
-The cover bound is constructive: after relabeling so cliques sit on
-consecutive indices, four blocks of factors cover intra-clique entries,
-inter-clique entries, clique-to-singleton entries, and the
-singleton-to-singleton tail.  The result is verified exactly on
-construction.
+The cover bound is constructive: four blocks of factors, built in the
+matrix's own coordinates, cover intra-clique entries, inter-clique
+entries, clique-to-singleton entries, and the singleton-to-singleton
+tail.  The result is verified exactly on construction.
 """
 
 from tropcp import (

@@ -76,7 +76,10 @@ def _read_graph(path: str):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _InputError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -209,13 +212,15 @@ def cmd_decompose(args) -> int:
 def cmd_rank(args) -> int:
     A = _read_matrix(args.matrix)
     start = time.monotonic()
-    rank, cert = cp_rank_exact(
-        A,
-        r_max=args.max_r,
-        node_limit=args.node_limit,
-        timeout_s=args.timeout_s,
-        threads=args.threads,
-    )
+    try:
+        rank, cert = cp_rank_exact(
+            A,
+            r_max=args.max_r,
+            node_limit=args.node_limit,
+            timeout_s=args.timeout_s,
+        )
+    except ValueError as exc:  # a negative --max-r
+        raise _InputError(str(exc)) from None
     payload = {
         "status": cert.status,
         "rank": ("inf" if rank == float("inf") else rank),

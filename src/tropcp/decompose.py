@@ -1,8 +1,8 @@
 """Constructive rank-one decompositions from a vertex clique cover.
 
 Given a normalized CP matrix and a clique cover of its pattern graph, the
-factors split into four blocks after relabeling the vertices so cliques
-occupy consecutive positions:
+factors split into four blocks, each built on the matrix in its own
+coordinates (the cliques need not occupy consecutive vertices):
 
   1. one all-zero-on-its-clique indicator per clique (intra-clique entries),
   2. per ordered clique pair (i < j) and vertex of clique j, a vector that
@@ -28,13 +28,20 @@ from typing import Optional, Sequence
 from .analysis import require_normalized
 from .core import (
     INF,
+    ZERO,
     Decomposition,
     SymTropMatrix,
     TropScalar,
     TropVector,
     scaled_rows,
 )
-from .graphs import CliqueCover, PatternGraph, min_cover_bound, pattern_graph
+from .graphs import (
+    CliqueCover,
+    PatternGraph,
+    cover_bound_terms,
+    min_cover_bound,
+    pattern_graph,
+)
 
 TAIL_EMPTY = "empty"
 TAIL_CLOSED = "closed-form"
@@ -44,44 +51,40 @@ TAIL_SEARCH = "search"
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Relabeling bookkeeping for the block construction.
+    """The partition a vertex clique cover reduces to, read as four blocks.
 
-    ``perm[new] = original``: cliques of size >= 2 occupy consecutive new
-    positions (sizes descending), singletons come last.  ``counts`` are the
-    per-block factor budgets (k, sum_i (i-1) q_i, k*l, floor(l^2/4)).
+    ``cliques`` are its parts of size >= 2 (sizes descending, members
+    ascending) and ``singles`` its singleton vertices, ascending, both in
+    the matrix's own vertex numbering, on which every block is built.
+    ``counts`` are the per-block factor budgets (k, sum_i (i-1) q_i, k*l,
+    floor(l^2/4)), the terms of the cover bound.
     """
 
     cover: CliqueCover
-    perm: tuple[int, ...]
-    sizes: tuple[int, ...]
-    singleton_count: int
+
+    @property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(c for c in self.cover.cliques if len(c) >= 2)
+
+    @property
+    def singles(self) -> tuple[int, ...]:
+        return tuple(c[0] for c in self.cover.cliques if len(c) == 1)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self.cover.sizes
 
     @property
     def k(self) -> int:
-        return len(self.sizes)
+        return self.cover.k
 
     @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def clique_span(self, i: int) -> range:
-        start = sum(self.sizes[:i])
-        return range(start, start + self.sizes[i])
-
-    @property
-    def singleton_positions(self) -> range:
-        start = sum(self.sizes)
-        return range(start, start + self.singleton_count)
+    def singleton_count(self) -> int:
+        return self.cover.singleton_count
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
-        l = self.singleton_count
-        return (
-            self.k,
-            sum(i * q for i, q in enumerate(self.sizes)),
-            self.k * l,
-            (l * l) // 4,
-        )
+        return cover_bound_terms(self.sizes, self.singleton_count)
 
 
 def reduce_to_partition(cover: CliqueCover, n: int) -> CliqueCover:
@@ -107,75 +110,52 @@ def make_block_plan(G: PatternGraph, cover: CliqueCover) -> BlockPlan:
     """The block plan of a vertex clique cover of the pattern graph G."""
     if not cover.covers(G):
         raise ValueError("not a valid vertex clique cover of the pattern graph")
-    partition = reduce_to_partition(cover, G.n)
-    cliques = [c for c in partition.cliques if len(c) >= 2]
-    singles = [c[0] for c in partition.cliques if len(c) == 1]
-    perm = tuple(v for c in cliques for v in c) + tuple(singles)
-    return BlockPlan(
-        cover=partition,
-        perm=perm,
-        sizes=tuple(len(c) for c in cliques),
-        singleton_count=len(singles),
-    )
+    return BlockPlan(reduce_to_partition(cover, G.n))
 
 
-def _permute_matrix(A: SymTropMatrix, perm: Sequence[int]) -> SymTropMatrix:
-    return SymTropMatrix.from_upper_func(
-        A.n, lambda i, j: A[perm[i], perm[j]]
-    )
-
-
-def _unpermute_vector(v: Sequence[TropScalar], perm: Sequence[int]) -> TropVector:
-    entries: list[TropScalar] = [INF] * len(perm)
-    for new_pos, orig in enumerate(perm):
-        entries[orig] = v[new_pos]
-    return TropVector(entries)
-
-
-def clique_block(B: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
+def clique_block(A: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
     """One indicator vector per clique: zero on the clique, infinite elsewhere."""
     out = []
-    for i in range(plan.k):
-        vec: list[TropScalar] = [INF] * plan.n
-        for t in plan.clique_span(i):
-            vec[t] = TropScalar(0)
+    for clique in plan.cliques:
+        vec: list[TropScalar] = [INF] * A.n
+        for t in clique:
+            vec[t] = ZERO
         out.append(vec)
     return out
 
 
-def cross_block(B: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
-    """Vectors matching B between distinct cliques.
+def _column_over(A: SymTropMatrix, p: int, over: Sequence[int]) -> list[TropScalar]:
+    """Zero at p, p's column A[t, p] at each t in `over`, infinite elsewhere."""
+    vec: list[TropScalar] = [INF] * A.n
+    vec[p] = ZERO
+    for t in over:
+        vec[t] = A[t, p]
+    return vec
 
-    For cliques i < j and each position p of clique j: zero at p, the
-    column entries B[t, p] over clique i, infinite elsewhere.
+
+def cross_block(A: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
+    """Vectors matching A between distinct cliques.
+
+    For cliques i < j and each vertex p of clique j: p's column over
+    clique i, zero at p.
     """
-    out = []
-    for i in range(plan.k - 1):
-        for j in range(i + 1, plan.k):
-            for p in plan.clique_span(j):
-                vec: list[TropScalar] = [INF] * plan.n
-                vec[p] = TropScalar(0)
-                for t in plan.clique_span(i):
-                    vec[t] = B[t, p]
-                out.append(vec)
-    return out
+    cliques = plan.cliques
+    return [
+        _column_over(A, p, earlier)
+        for i, earlier in enumerate(cliques)
+        for later in cliques[i + 1 :]
+        for p in later
+    ]
 
 
-def singleton_link_block(B: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
-    """Vectors matching B between each clique and each singleton.
+def singleton_link_block(A: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
+    """Vectors matching A between each clique and each singleton.
 
     Zero at the singleton (covering its diagonal), the singleton's column
     over the clique, infinite elsewhere.
     """
-    out = []
-    for i in range(plan.k):
-        for p in plan.singleton_positions:
-            vec: list[TropScalar] = [INF] * plan.n
-            vec[p] = TropScalar(0)
-            for t in plan.clique_span(i):
-                vec[t] = B[t, p]
-            out.append(vec)
-    return out
+    singles = plan.singles
+    return [_column_over(A, p, clique) for clique in plan.cliques for p in singles]
 
 
 def _dominates(C: list[list[Optional[int]]], vec: Sequence[Optional[int]]) -> bool:
@@ -246,22 +226,21 @@ def _merge_pass(
 
 
 def singleton_tail_block(
-    B: SymTropMatrix,
+    A: SymTropMatrix,
     plan: BlockPlan,
     G_empty: bool,
     search_nodes: int,
 ) -> tuple[list[list[TropScalar]], str]:
-    """Factors covering entries between singleton positions (block 4)."""
-    singles = list(plan.singleton_positions)
+    """Factors covering entries between singletons (block 4)."""
+    singles = plan.singles
     l = len(singles)
     k = plan.k
-    zero = TropScalar(0)
 
     finite_pairs = [
         (p, q)
         for a, p in enumerate(singles)
         for q in singles[a + 1 :]
-        if not B[p, q].is_inf
+        if not A[p, q].is_inf
     ]
     need_diagonals = k == 0
 
@@ -270,48 +249,31 @@ def singleton_tail_block(
 
     if k >= 1 and l == 2 and len(finite_pairs) == 1:
         p, q = finite_pairs[0]
-        vec: list[TropScalar] = [INF] * plan.n
-        vec[p] = zero
-        vec[q] = B[p, q]
-        return [vec], TAIL_CLOSED
+        return [_column_over(A, p, (q,))], TAIL_CLOSED
 
     if k >= 1 and l == 3 and len(finite_pairs) == 3:
         # roles: w free, (u, v) the maximal pair; ties pick the
-        # lexicographically last position pair
-        best = max(finite_pairs, key=lambda pq: (B[pq[0], pq[1]].finite, pq))
+        # lexicographically last vertex pair
+        best = max(finite_pairs, key=lambda pq: (A[pq[0], pq[1]].finite, pq))
         u, v = best
         (w,) = [s for s in singles if s not in best]
-        a_vec: list[TropScalar] = [INF] * plan.n
-        a_vec[w] = zero
-        a_vec[u] = B[w, u]
-        b_vec: list[TropScalar] = [INF] * plan.n
-        b_vec[w] = B[w, v]
-        b_vec[u] = B[u, v]
-        b_vec[v] = zero
-        return [a_vec, b_vec], TAIL_CLOSED
+        return [_column_over(A, w, (u,)), _column_over(A, v, (w, u))], TAIL_CLOSED
 
     # Per-pair fallback, always sound.
-    vectors: list[list[TropScalar]] = []
-    for p, q in finite_pairs:
-        vec = [INF] * plan.n
-        vec[p] = zero
-        vec[q] = B[p, q]
-        vectors.append(vec)
+    vectors = [_column_over(A, p, (q,)) for p, q in finite_pairs]
     if need_diagonals:
         for s in singles:
-            if not any(v[s] == zero for v in vectors):
-                vec = [INF] * plan.n
-                vec[s] = zero
-                vectors.append(vec)
-    vectors = _merge_pass(B, vectors)
+            if not any(v[s] == ZERO for v in vectors):
+                vectors.append(_column_over(A, s, ()))
+    vectors = _merge_pass(A, vectors)
     mode = TAIL_PAIRS
 
-    if G_empty and plan.n <= 4:
-        target = plan.n
+    if G_empty and A.n <= 4:
+        target = A.n
     else:
         target = (l * l) // 4
     if len(vectors) > target and l >= 2:
-        found = _tail_exact_search(B, singles, target, search_nodes)
+        found = _tail_exact_search(A, singles, target, search_nodes)
         if found is not None:
             vectors = found
             mode = TAIL_SEARCH
@@ -319,24 +281,24 @@ def singleton_tail_block(
 
 
 def _tail_exact_search(
-    B: SymTropMatrix, singles: list[int], target: int, search_nodes: int
+    A: SymTropMatrix, singles: Sequence[int], target: int, search_nodes: int
 ) -> Optional[list[list[TropScalar]]]:
     """Decompose the singleton principal submatrix with at most `target` factors.
 
     Uses the exact rank search with a node budget; on success the factors
-    are embedded back with infinity outside the singleton positions.
+    are embedded back with infinity outside the singletons.
     """
     from .rank import cp_rank_leq
 
     sub = SymTropMatrix.from_upper_func(
-        len(singles), lambda i, j: B[singles[i], singles[j]]
+        len(singles), lambda i, j: A[singles[i], singles[j]]
     )
     outcome = cp_rank_leq(sub, target, node_limit=search_nodes, timeout_s=60.0)
     if not outcome.found:
         return None
     embedded = []
     for factor in outcome.decomposition.factors:
-        vec: list[TropScalar] = [INF] * B.n
+        vec: list[TropScalar] = [INF] * A.n
         for pos, s in enumerate(singles):
             vec[s] = factor[pos]
         embedded.append(vec)
@@ -362,15 +324,11 @@ def construct_decomposition_detailed(
     require_normalized(A)
     G = pattern_graph(A)
     plan = make_block_plan(G, cover)
-    B = _permute_matrix(A, plan.perm)
-    G_empty = not G.edges
-    b1 = clique_block(B, plan)
-    b2 = cross_block(B, plan)
-    b3 = singleton_link_block(B, plan)
-    b4, tail_mode = singleton_tail_block(B, plan, G_empty, tail_search_nodes)
-    factors = [
-        _unpermute_vector(v, plan.perm) for v in (*b1, *b2, *b3, *b4)
-    ]
+    b1 = clique_block(A, plan)
+    b2 = cross_block(A, plan)
+    b3 = singleton_link_block(A, plan)
+    b4, tail_mode = singleton_tail_block(A, plan, not G.edges, tail_search_nodes)
+    factors = [TropVector(v) for v in (*b1, *b2, *b3, *b4)]
     dec = Decomposition(A, factors)
     achieved = (len(b1), len(b2), len(b3), len(b4))
     return dec, (plan, achieved, tail_mode)

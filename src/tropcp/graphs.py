@@ -137,17 +137,22 @@ def diameter(G: PatternGraph) -> int | float:
     return worst
 
 
+def _check_vertices(G: PatternGraph, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not (0 <= v < G.n):
+            raise ValueError(f"vertex {v} not in graph of size {G.n}")
+
+
 def distance(G: PatternGraph, a: int, b: int) -> int | float:
     """Shortest-path distance between two vertices; inf if unreachable."""
+    _check_vertices(G, (a, b))
     return _distances(G.adjacency_masks(), a).get(b, float("inf"))
 
 
 def induced_subgraph(G: PatternGraph, vertices: Iterable[int]) -> PatternGraph:
     """Restrict to a vertex subset, relabeled 0..|S|-1 preserving order."""
     vs = sorted(set(vertices))
-    for v in vs:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} not in graph of size {G.n}")
+    _check_vertices(G, vs)
     if not vs:
         raise ValueError("induced subgraph needs at least one vertex")
     index = {v: p for p, v in enumerate(vs)}
@@ -210,15 +215,19 @@ class CliqueCover:
         )
 
 
+def cover_bound_terms(sizes: Sequence[int], l: int) -> tuple[int, int, int, int]:
+    """k, sum (i-1)q_i, k*l, floor(l*l/4): one term per decomposition block."""
+    k = len(sizes)
+    return k, sum(i * q for i, q in enumerate(sizes)), k * l, (l * l) // 4
+
+
 def ordered_cover_bound(sizes: Sequence[int], singletons: int) -> int:
     """The bound k + sum (i-1)q_i + k*l + floor(l*l/4) with sizes as given.
 
     Exposed unsorted so the optimality of descending order is testable;
     CliqueCover always stores the descending arrangement.
     """
-    k = len(sizes)
-    l = singletons
-    return k + sum(i * q for i, q in enumerate(sizes)) + k * l + (l * l) // 4
+    return sum(cover_bound_terms(sizes, singletons))
 
 
 def cover_bound(cover: CliqueCover) -> int:

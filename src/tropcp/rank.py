@@ -482,7 +482,6 @@ def cp_rank_leq(
     r: int,
     node_limit: int = DEFAULT_NODE_LIMIT,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    threads: int = 1,
 ) -> RankSearchOutcome:
     """Decide whether a normalized CP matrix has CP-rank at most r.
 
@@ -493,8 +492,7 @@ def cp_rank_leq(
     nodes).
 
     Skeletons are searched in canonical order, and the search stops at the
-    first one that admits a decomposition.  `threads` is accepted; the
-    search runs serially.
+    first one that admits a decomposition.
     """
     require_normalized(A)
     if r < 1:
@@ -681,7 +679,10 @@ def cp_rank_exact(
     `timeout_s` and `node_limit` bound the whole call: the fooling-set
     bound and each `cp_rank_leq(r)` get what is left of one deadline and
     one node budget.  `threads` is accepted; the search runs serially.
+    A negative `r_max` raises ValueError.
     """
+    if r_max is not None and r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
     deadline = time.monotonic() + timeout_s
     stats = SearchStats()
     if all(v.is_inf for _, _, v in A.upper_entries()):

@@ -281,6 +281,19 @@ class TestUsage:
         assert captured.err.startswith("error: every diagonal entry is infinite")
         assert not out.exists()
 
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, paw_file):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["rank", paw_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}")
+
+    def test_negative_max_r_exits_two(self, capsys, paw_file):
+        assert main(["rank", paw_file, "--max-r", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: r_max must be >= 0")
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/file.tmat"]) == 2
 

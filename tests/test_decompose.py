@@ -25,6 +25,8 @@ from tropcp import (
 from tropcp.corpus import paw_matrix, rank_six_5x5
 from tropcp.decompose import (
     TAIL_CLOSED,
+    TAIL_EMPTY,
+    TAIL_PAIRS,
     TAIL_SEARCH,
     _merge_pass,
     clique_block,
@@ -51,7 +53,7 @@ class TestBlocks:
     def test_clique_indicators_paw(self):
         A = paw_matrix(1, 2)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1, 2), (3,)]))
-        assert plan.perm == (0, 1, 2, 3)
+        assert plan.cliques == ((0, 1, 2),) and plan.singles == (3,)
         [x] = clique_block(A, plan)
         assert x == _vec([0, 0, 0, "inf"])
 
@@ -92,6 +94,91 @@ class TestBlocks:
         A = generate_instance(G, seed=2)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2,), (3,), (4,)]))
         assert len(singleton_link_block(A, plan)) == 3
+
+
+class TestInputCoordinates:
+    """Covers whose cliques are not consecutive: every block is built on the
+    matrix as given, so each factor is pinned in the input's coordinates."""
+
+    @staticmethod
+    def build(A, cover):
+        dec, (_, blocks, mode) = construct_decomposition_detailed(A, CliqueCover(cover))
+        assert verify_decomposition(dec)
+        return [" ".join(str(e) for e in f) for f in dec.factors], blocks, mode
+
+    def test_interleaved_cliques(self):
+        A = SymTropMatrix.from_rows(
+            [
+                [0, 1, 2, 3, 0, 4],
+                [1, 0, 5, 0, 6, 0],
+                [2, 5, 0, 7, "3/2", 8],
+                [3, 0, 7, 0, 9, 0],
+                [0, 6, "3/2", 9, 0, 10],
+                [4, 0, 8, 0, 10, 0],
+            ]
+        )
+        factors, blocks, mode = self.build(A, [(0, 4), (1, 3, 5), (2,)])
+        assert factors == [
+            "inf 0 inf 0 inf 0",
+            "0 inf inf inf 0 inf",
+            "0 1 inf 3 inf 4",
+            "inf 6 inf 9 0 10",
+            "inf 5 0 7 inf 8",
+            "2 inf 0 inf 3/2 inf",
+        ]
+        assert blocks == (2, 2, 2, 0)
+        assert mode == TAIL_EMPTY
+
+    def test_three_singleton_closed_form_between_clique_vertices(self):
+        # singletons 1, 2, 4 sit between the clique's vertices 0, 3, 5; the
+        # maximal pair ties between (1, 4) and (2, 4), and the last one wins
+        A = SymTropMatrix.from_rows(
+            [
+                [0, 4, 5, 0, 6, 0],
+                [4, 0, 2, 2, 3, 3],
+                [5, 2, 0, 9, 3, 10],
+                [0, 2, 9, 0, 11, 0],
+                [6, 3, 3, 11, 0, 12],
+                [0, 3, 10, 0, 12, 0],
+            ]
+        )
+        factors, blocks, mode = self.build(A, [(0, 3, 5), (1,), (2,), (4,)])
+        assert factors == [
+            "0 inf inf 0 inf 0",
+            "4 0 inf 2 inf 3",
+            "5 inf 0 9 inf 10",
+            "6 inf inf 11 0 12",
+            "inf 0 2 inf inf inf",
+            "inf 3 3 inf 0 inf",
+        ]
+        assert blocks == (1, 0, 3, 2)
+        assert mode == TAIL_CLOSED
+
+    def test_pairs_tail_around_the_clique(self):
+        A = SymTropMatrix.from_rows(
+            [
+                [0, 1, 7, 2, 3, 8],
+                [1, 0, 6, 4, 2, 5],
+                [7, 6, 0, 9, 3, 0],
+                [2, 4, 9, 0, "inf", 4],
+                [3, 2, 3, "inf", 0, 1],
+                [8, 5, 0, 4, 1, 0],
+            ]
+        )
+        factors, blocks, mode = self.build(A, [(2, 5), (0,), (1,), (3,), (4,)])
+        assert factors == [
+            "inf inf 0 inf inf 0",
+            "0 inf 7 inf inf 8",
+            "inf 0 6 inf inf 5",
+            "inf inf 9 0 inf 4",
+            "inf inf 3 inf 0 1",
+            "0 1 inf inf 3 inf",
+            "0 inf inf 2 inf inf",
+            "inf 0 inf 4 inf inf",
+            "inf 0 inf inf 2 inf",
+        ]
+        assert blocks == (1, 0, 4, 4)
+        assert mode == TAIL_PAIRS
 
 
 class TestTail:

@@ -17,6 +17,7 @@ from tropcp import (
     cp_rank_upper_bound,
     diameter,
     diameter_witness_matrix,
+    distance,
     edge_clique_cover_number,
     induced_subgraph,
     is_completely_positive,
@@ -97,6 +98,15 @@ class TestDiameter:
 
     def test_single_vertex(self):
         assert diameter(PatternGraph.empty(1)) == 0
+
+    def test_distance(self):
+        assert distance(PatternGraph.path(3), 0, 2) == 2
+        assert distance(PatternGraph.empty(2), 1, 0) == float("inf")
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_distance_rejects_vertices_outside_the_graph(self, a, b):
+        with pytest.raises(ValueError, match="not in graph of size 3"):
+            distance(PatternGraph.path(3), a, b)
 
 
 class TestSubgraphsAndJoin:

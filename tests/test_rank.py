@@ -461,6 +461,18 @@ class TestFoolingSetBound:
             _, cert = cp_rank_exact(rank_six_5x5(), r_max=r_max)
             assert (cert.refuted, cert.refuted_by, cert.undetermined_at) == ((), (), r_max + 1)
 
+    def test_negative_r_max_rejected(self):
+        with pytest.raises(ValueError, match="r_max must be >= 0"):
+            cp_rank_exact(rank_six_5x5(), r_max=-3)
+        # r_max = 0 still means: stop before any r is tried
+        rank, cert = cp_rank_exact(rank_six_5x5(), r_max=0)
+        assert (rank, cert.status, cert.refuted, cert.undetermined_at) == (
+            None,
+            "undetermined",
+            (),
+            1,
+        )
+
     def test_guard_after_the_bound_keeps_its_refutations(self):
         rank, cert = cp_rank_exact(n7_p03_349(), node_limit=100)
         assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 6)
@@ -608,19 +620,17 @@ class TestRankDecision:
         assert out.decomposition is None
 
     def test_parallel_matches_sequential(self):
-        # threads is accepted and the search runs serially: same outcome and counters
-        for A, rank in ((rank_six_5x5(), 6), (n7_p03_349(), 7)):
-            for r, status in ((rank - 1, "refuted"), (rank, "found")):
-                seq = cp_rank_leq(A, r)
-                par = cp_rank_leq(A, r, threads=2)
-                assert seq.status == par.status == status
-                assert (seq.stats.nodes, seq.stats.skeletons, seq.stats.refuted_branches) == (
-                    par.stats.nodes,
-                    par.stats.skeletons,
-                    par.stats.refuted_branches,
-                )
-                if status == "found":
-                    assert par.decomposition.factors == seq.decomposition.factors
+        # threads is accepted and the search runs serially: same certificate and counters
+        for A, rank, refuted_by in (
+            (rank_six_5x5(), 6, ("bound",)),
+            (n7_p03_349(), 7, ("bound", "search")),
+        ):
+            seq_rank, seq = cp_rank_exact(A)
+            par_rank, par = cp_rank_exact(A, threads=2)
+            assert seq_rank == par_rank == rank
+            assert seq.refuted_by == refuted_by
+            seq.stats.wall_time = par.stats.wall_time = 0.0
+            assert seq == par
 
 
 def search_anchor_skeleton(budget):
