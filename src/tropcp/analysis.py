@@ -56,22 +56,30 @@ def require_normalized(A: SymTropMatrix) -> None:
         raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
 
 
-def cp_rank_is_one(A: SymTropMatrix) -> bool:
-    """Whether A is a single tropical rank-one outer product.
+def _rank_one_candidate(A: SymTropMatrix) -> TropVector:
+    """The only b that can have b (x) b^T = A, anchored on the first row
+    with finite diagonal: b[j] = A[j,j0] - A[j0,j0]/2; all-infinite when
+    every diagonal entry is infinite."""
+    anchor = next((i for i in range(A.n) if not A[i, i].is_inf), None)
+    if anchor is None:
+        return TropVector([INF] * A.n)
+    half = A[anchor, anchor].finite / 2
+    return TropVector(
+        INF if A[j, anchor].is_inf else TropScalar(A[j, anchor].finite - half)
+        for j in range(A.n)
+    )
 
-    Characterization: A[i,j1] * A[k,j2] == A[k,j1] * A[i,j2] for all index
-    quadruples, i.e. any two rows with finite entries differ by a constant.
-    Rejects non-CP input, for which a rank-one certificate is meaningless.
+
+def cp_rank_is_one(A: SymTropMatrix) -> bool:
+    """Whether A is a single tropical rank-one outer product, in O(n^2).
+
+    A rank-one A = b (x) b^T gives b back from any row with finite
+    diagonal, so A has rank one exactly when the anchor-row candidate
+    reproduces it.  Rejects non-CP input, for which a rank-one
+    certificate is meaningless.
     """
     require_cp(A)
-    n = A.n
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j1 in range(n):
-                for j2 in range(j1 + 1, n):
-                    if A[i, j1] * A[k, j2] != A[k, j1] * A[i, j2]:
-                        return False
-    return True
+    return rank_one_product(_rank_one_candidate(A)) == A
 
 
 def extract_rank_one_factor(A: SymTropMatrix) -> TropVector:
@@ -80,19 +88,10 @@ def extract_rank_one_factor(A: SymTropMatrix) -> TropVector:
     Anchored on the first row with finite diagonal: b[j] = A[j,j0] - A[j0,j0]/2.
     An all-infinite matrix yields the all-infinite vector.
     """
-    if not cp_rank_is_one(A):
-        raise ValueError("matrix is not of CP-rank one")
-    anchor = next((i for i in range(A.n) if not A[i, i].is_inf), None)
-    if anchor is None:
-        return TropVector([INF] * A.n)
-    half = A[anchor, anchor].finite / 2
-    entries = [
-        INF if A[j, anchor].is_inf else TropScalar(A[j, anchor].finite - half)
-        for j in range(A.n)
-    ]
-    b = TropVector(entries)
+    require_cp(A)
+    b = _rank_one_candidate(A)
     if rank_one_product(b) != A:
-        raise AssertionError("rank-one reconstruction failed on valid input")
+        raise ValueError("matrix is not of CP-rank one")
     return b
 
 

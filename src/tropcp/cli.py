@@ -219,7 +219,7 @@ def cmd_rank(args) -> int:
             node_limit=args.node_limit,
             timeout_s=args.timeout_s,
         )
-    except ValueError as exc:  # a negative --max-r
+    except ValueError as exc:  # a negative guard, or a NaN --timeout-s
         raise _InputError(str(exc)) from None
     payload = {
         "status": cert.status,

@@ -11,6 +11,7 @@ load-bearing.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,19 +285,30 @@ def reconstruct(factors: Sequence[TropVector], n: int) -> SymTropMatrix:
     return trop_matrix_sum([rank_one_product(b) for b in factors])
 
 
-def scaled_rows(A: SymTropMatrix) -> tuple[list[list[Optional[int]]], int]:
-    """A's rows times the lcm of its denominators (ints, None for inf), and that lcm.
+def scaled_rows(
+    A: SymTropMatrix, vectors: Sequence[Sequence[TropScalar]] = ()
+) -> tuple[list[list[Optional[int]]], list[list[Optional[int]]], int]:
+    """A's rows and the vectors on one integer grid, and its scale.
 
-    The exact integer form of the search kernels: scaling by a positive
-    integer keeps every sum, order and equality between entries.
+    The scale is the lcm of every denominator in A and the vectors; each
+    value times it is an int, and inf is None.  This is the exact integer
+    form of the search kernels and the verifier: scaling by a positive
+    integer keeps every sum, order and equality between values.
     """
-    values = [e._v for e in A._upper]
-    scale = math.lcm(1, *{v.denominator for v in values if v is not None})
-    upper = [
-        None if v is None else v.numerator * (scale // v.denominator) for v in values
-    ]
-    n = A.n
-    return [[upper[A._idx(i, j)] for j in range(n)] for i in range(n)], scale
+    upper = [e._v for e in A._upper]
+    values = [[e._v for e in vec] for vec in vectors]
+    scale = math.lcm(
+        1, *{v.denominator for v in itertools.chain(upper, *values) if v is not None}
+    )
+
+    def scaled(v: Optional[Fraction]) -> Optional[int]:
+        return None if v is None else v.numerator * (scale // v.denominator)
+
+    stored = iter(upper)  # the upper triangle, row by row
+    rows: list[list[Optional[int]]] = []
+    for i in range(A.n):
+        rows.append([row[i] for row in rows] + [scaled(next(stored)) for _ in range(i, A.n)])
+    return rows, [[scaled(v) for v in vec] for vec in values], scale
 
 
 def is_exact_decomposition(
@@ -305,34 +317,23 @@ def is_exact_decomposition(
     """True iff the factors' tropical sum equals the target entrywise.
 
     Agrees with ``reconstruct(factors, target.n) == target`` (and is False
-    for a factor of the wrong length) without building any matrix: target
-    and factors are scaled to ints by the lcm of all their denominators,
-    and each upper entry (i, j) is compared with the minimum of
-    b_i + b_j over the factors finite at both i and j, stopping at the
-    first mismatch.
+    for a factor of the wrong length) without building any matrix: on the
+    integer grid of `scaled_rows`, each upper entry (i, j) is compared with
+    the minimum of b_i + b_j over the factors finite at both i and j,
+    stopping at the first mismatch.
     """
     n = target.n
     if any(len(b) != n for b in factors):
         return False
-    values = [[e._v for e in b._entries] for b in factors]
-    scale = math.lcm(
-        1,
-        *{v.denominator for e in target._upper if (v := e._v) is not None},
-        *{v.denominator for vec in values for v in vec if v is not None},
-    )
-
-    def scaled(v: Optional[Fraction]) -> Optional[int]:
-        return None if v is None else v.numerator * (scale // v.denominator)
-
+    rows, vecs, _ = scaled_rows(target, factors)
     # coordinate -> (per-factor scaled values, bitmask of factors finite there)
     columns = []
     for i in range(n):
-        col = [scaled(vec[i]) for vec in values]
+        col = [vec[i] for vec in vecs]
         mask = sum(1 << f for f, x in enumerate(col) if x is not None)
         columns.append((col, mask))
-    entries = iter(target._upper)
     for i, (col_i, mask_i) in enumerate(columns):
-        for col_j, mask_j in columns[i:]:
+        for (col_j, mask_j), entry in zip(columns[i:], rows[i][i:]):
             m = mask_i & mask_j
             best = None
             while m:
@@ -341,7 +342,7 @@ def is_exact_decomposition(
                 s = col_i[f] + col_j[f]
                 if best is None or s < best:
                     best = s
-            if best != scaled(next(entries)._v):
+            if best != entry:
                 return False
     return True
 

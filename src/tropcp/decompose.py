@@ -21,7 +21,6 @@ was actually achieved and the result is verified exactly on construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +38,7 @@ from .graphs import (
     CliqueCover,
     PatternGraph,
     cover_bound_terms,
+    is_small_empty_pattern,
     min_cover_bound,
     pattern_graph,
 )
@@ -188,26 +188,13 @@ def _merge_pass(
     vectors is fused further.  Every pair before (a, b) in scan order
     failed and still fails after the merge, so the next dominating pair
     is at (a, b) or later: the scan resumes there instead of restarting,
-    and makes the same merges.  The work is on exact ints: B and the
-    vectors are scaled once by the lcm of all their denominators, and
-    the results are mapped back to the input scalars on return.
+    and makes the same merges.  The work is on exact ints, on the grid
+    `scaled_rows` puts B and the vectors on, and the results are mapped
+    back to the input scalars on return.
     """
-    C, scale = scaled_rows(B)
-    grid = math.lcm(
-        scale, *{e.finite.denominator for v in vectors for e in v if not e.is_inf}
-    )
-    if grid != scale:
-        C = [[None if x is None else x * (grid // scale) for x in row] for row in C]
-    scalars: dict[Optional[int], TropScalar] = {None: INF}
-
-    def to_int(e: TropScalar) -> Optional[int]:
-        if e.is_inf:
-            return None
-        x = e.finite.numerator * (grid // e.finite.denominator)
-        scalars[x] = e
-        return x
-
-    vecs = [[to_int(e) for e in v] for v in vectors]
+    C, vecs, _ = scaled_rows(B, vectors)
+    # every merged value is one of the inputs
+    scalars = {x: e for v, xs in zip(vectors, vecs) for e, x in zip(v, xs)}
     a = 0
     while a < len(vecs):
         b = a + 1
@@ -228,10 +215,11 @@ def _merge_pass(
 def singleton_tail_block(
     A: SymTropMatrix,
     plan: BlockPlan,
-    G_empty: bool,
+    small_empty: bool,
     search_nodes: int,
 ) -> tuple[list[list[TropScalar]], str]:
-    """Factors covering entries between singletons (block 4)."""
+    """Factors covering entries between singletons (block 4); the exact search
+    aims at A.n factors when `small_empty` (`is_small_empty_pattern`), else floor(l^2/4)."""
     singles = plan.singles
     l = len(singles)
     k = plan.k
@@ -268,10 +256,7 @@ def singleton_tail_block(
     vectors = _merge_pass(A, vectors)
     mode = TAIL_PAIRS
 
-    if G_empty and A.n <= 4:
-        target = A.n
-    else:
-        target = (l * l) // 4
+    target = A.n if small_empty else (l * l) // 4
     if len(vectors) > target and l >= 2:
         found = _tail_exact_search(A, singles, target, search_nodes)
         if found is not None:
@@ -327,7 +312,9 @@ def construct_decomposition_detailed(
     b1 = clique_block(A, plan)
     b2 = cross_block(A, plan)
     b3 = singleton_link_block(A, plan)
-    b4, tail_mode = singleton_tail_block(A, plan, not G.edges, tail_search_nodes)
+    b4, tail_mode = singleton_tail_block(
+        A, plan, is_small_empty_pattern(G), tail_search_nodes
+    )
     factors = [TropVector(v) for v in (*b1, *b2, *b3, *b4)]
     dec = Decomposition(A, factors)
     achieved = (len(b1), len(b2), len(b3), len(b4))

@@ -2,8 +2,9 @@
 
 The pattern graph of a symmetric tropical matrix has an edge wherever an
 off-diagonal entry equals rational zero (not the tropical identity).  A
-vertex clique cover (K_q1, ..., K_qk, l singletons) with q1 >= ... >= qk >= 2
-carries the rank bound
+`PatternGraph` builds one neighbour bitmask per vertex with its edge set,
+and every query and search here reads those masks.  A vertex clique cover
+(K_q1, ..., K_qk, l singletons) with q1 >= ... >= qk >= 2 carries the bound
 
     k + sum_i (i-1) q_i + k*l + floor(l^2 / 4)
 
@@ -11,15 +12,19 @@ One search, `CliquePartitions`, walks the partitions of the vertex set
 into cliques under part-count and bound limits.  It gives the exact
 minimum of this bound over all covers (`min_cover_bound`), the fewest
 cliques covering the vertices (`min_clique_cover_size`) and the zero-set
-skeletons of the exact-rank search.  Alongside it is an exact
-edge-clique-cover solver.  Both are exponential and are meant for
-desk-scale graphs (n up to roughly 12).
+skeletons of the exact-rank search.  `max_clique` gives the clique
+number that prunes it and the rank module's fooling sets, and an exact
+edge-clique-cover solver branches over maximal cliques held as edge
+bitmasks.  All are exponential, for desk-scale graphs (n up to about 12).
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import itertools
+import math
+import time
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .analysis import require_normalized
@@ -28,23 +33,28 @@ from .core import SymTropMatrix, TropScalar
 
 @dataclass(frozen=True)
 class PatternGraph:
-    """A simple undirected graph on vertices 0..n-1."""
+    """A simple undirected graph on vertices 0..n-1; bit u of masks[v] marks edge {u, v}."""
 
     n: int
     edges: frozenset[tuple[int, int]]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError("graphs must have at least one vertex")
         norm = set()
+        masks = [0] * n
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a} is not allowed")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             norm.add((min(a, b), max(a, b)))
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "masks", tuple(masks))
 
     @classmethod
     def complete(cls, n: int) -> "PatternGraph":
@@ -64,27 +74,18 @@ class PatternGraph:
         return cls(n, [(0, i) for i in range(1, n)])
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        return 0 <= a < self.n and 0 <= b < self.n and self.masks[a] >> b & 1 == 1
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(
-            b if a == v else a for a, b in self.edges if v in (a, b)
-        )
+        return frozenset(u for u in range(self.n) if self.has_edge(v, u))
 
     def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmasks, for the exact searches."""
-        masks = [0] * self.n
-        for a, b in self.edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        return masks
+        """The per-vertex neighbour bitmasks `masks`, as a list."""
+        return list(self.masks)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = sorted(set(vertices))
         return all(
-            self.has_edge(vs[i], vs[j])
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
+            self.has_edge(a, b) for a, b in itertools.combinations(sorted(set(vertices)), 2)
         )
 
     def degree(self, v: int) -> int:
@@ -105,7 +106,7 @@ def pattern_graph(A: SymTropMatrix) -> PatternGraph:
     )
 
 
-def _distances(masks: list[int], src: int) -> dict[int, int]:
+def _distances(masks: Sequence[int], src: int) -> dict[int, int]:
     """Breadth-first distances from src to every vertex it reaches."""
     dist = {src: 0}
     frontier = [src]
@@ -127,10 +128,9 @@ def _distances(masks: list[int], src: int) -> dict[int, int]:
 
 def diameter(G: PatternGraph) -> int | float:
     """Largest shortest-path distance; inf when disconnected; 0 for n=1."""
-    masks = G.adjacency_masks()
     worst = 0
     for src in range(G.n):
-        dist = _distances(masks, src)
+        dist = _distances(G.masks, src)
         if len(dist) < G.n:
             return float("inf")
         worst = max(worst, max(dist.values()))
@@ -146,7 +146,7 @@ def _check_vertices(G: PatternGraph, vertices: Iterable[int]) -> None:
 def distance(G: PatternGraph, a: int, b: int) -> int | float:
     """Shortest-path distance between two vertices; inf if unreachable."""
     _check_vertices(G, (a, b))
-    return _distances(G.adjacency_masks(), a).get(b, float("inf"))
+    return _distances(G.masks, a).get(b, float("inf"))
 
 
 def induced_subgraph(G: PatternGraph, vertices: Iterable[int]) -> PatternGraph:
@@ -235,7 +235,7 @@ def cover_bound(cover: CliqueCover) -> int:
     return ordered_cover_bound(cover.sizes, cover.singleton_count)
 
 
-def _cliques_containing(allowed: int, masks: list[int]) -> list[tuple[tuple[int, ...], int]]:
+def _cliques_containing(allowed: int, masks: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """(clique, bitmask) for each clique within `allowed` that holds its lowest vertex.
 
     Members are grown in increasing order, so each clique appears once and
@@ -258,6 +258,54 @@ def _cliques_containing(allowed: int, masks: list[int]) -> list[tuple[tuple[int,
     return found
 
 
+class _Stop(Exception):
+    """Raised inside `max_clique` once its deadline has passed."""
+
+
+def max_clique(adj: Sequence[int], deadline: float = math.inf) -> list[int]:
+    """A maximum clique of the graph with bitmask rows adj, by branch and bound.
+
+    Candidates are greedily coloured, and a branch closes when the clique
+    so far plus the colours left cannot beat the best one found.  Past the
+    deadline (a `time.monotonic()` value) the search stops and returns the
+    largest clique found so far.
+    """
+    best: list[int] = []
+    clique: list[int] = []
+
+    def expand(cand: int) -> None:
+        nonlocal best
+        if time.monotonic() > deadline:
+            raise _Stop
+        order: list[tuple[int, int]] = []
+        uncoloured, colour = cand, 0
+        while uncoloured:
+            colour += 1
+            free = uncoloured
+            while free:
+                v = (free & -free).bit_length() - 1
+                free &= ~adj[v] & ~(1 << v)
+                uncoloured &= ~(1 << v)
+                order.append((v, colour))
+        for v, colour in reversed(order):
+            if len(clique) + colour <= len(best):
+                return
+            clique.append(v)
+            rest = cand & adj[v]
+            if rest:
+                expand(rest)
+            elif len(clique) > len(best):
+                best = clique[:]
+            clique.pop()
+            cand &= ~(1 << v)
+
+    try:
+        expand((1 << len(adj)) - 1)
+    except _Stop:
+        pass
+    return sorted(best)
+
+
 class CliquePartitions:
     """Iterating yields `(parts, bound)` for each partition of G's vertices
     into cliques, with its cover bound, in canonical order: lowest
@@ -274,8 +322,8 @@ class CliquePartitions:
 
     def __init__(self, G: PatternGraph, max_parts: int | None = None):
         self.full = (1 << G.n) - 1
-        self.masks = G.adjacency_masks()
-        self.omega = len(maximal_cliques(G)[0])  # listed largest first
+        self.masks = G.masks
+        self.omega = len(max_clique(G.masks))
         # ints, not inf: the limits are compared in the innermost loop
         self.max_parts = G.n if max_parts is None else max_parts
         self.max_bound = G.n * G.n
@@ -387,17 +435,12 @@ class EdgeCliqueCover:
     def covers(self, G: PatternGraph) -> bool:
         if not all(G.is_clique(c) for c in self.cliques):
             return False
-        covered = set()
-        for c in self.cliques:
-            for i in range(len(c)):
-                for j in range(i + 1, len(c)):
-                    covered.add((c[i], c[j]))
-        return covered >= G.edges
+        return {e for c in self.cliques for e in itertools.combinations(c, 2)} >= G.edges
 
 
 def maximal_cliques(G: PatternGraph) -> list[tuple[int, ...]]:
     """All maximal cliques (Bron-Kerbosch with pivot), canonically ordered."""
-    masks = G.adjacency_masks()
+    masks = G.masks
     out: list[tuple[int, ...]] = []
 
     def expand(r: list[int], p: int, x: int) -> None:
@@ -430,41 +473,29 @@ def edge_clique_cover_number(G: PatternGraph) -> tuple[int, EdgeCliqueCover]:
     """Exact edge clique cover number with a certificate; 0 for edgeless graphs.
 
     Branch and bound over maximal cliques: repeatedly pick the uncovered
-    edge lying in the fewest maximal cliques and branch on its carriers.
+    edge lying in the fewest maximal cliques (the lowest such edge) and
+    branch on its carriers.  Edges are numbered in sorted order; each
+    clique is the bitmask of the edges it covers, and the uncovered edges
+    are one int.  Of the minimum covers, the lexicographically least is
+    returned.
     """
     if not G.edges:
         return 0, EdgeCliqueCover([])
-    cliques = maximal_cliques(G)
-    cliques = [c for c in cliques if len(c) >= 2]
-    edge_list = sorted(G.edges)
-    carriers: dict[tuple[int, int], list[int]] = {e: [] for e in edge_list}
-    clique_edges: list[set[tuple[int, int]]] = []
-    for idx, c in enumerate(cliques):
-        es = {
-            (c[i], c[j])
-            for i in range(len(c))
-            for j in range(i + 1, len(c))
-        }
-        clique_edges.append(es)
-        for e in es:
-            carriers[e].append(idx)
-
-    max_edges_per_clique = max(len(es) for es in clique_edges)
+    cliques = [c for c in maximal_cliques(G) if len(c) >= 2]
+    index = {e: k for k, e in enumerate(sorted(G.edges))}
+    covers = [sum(1 << index[e] for e in itertools.combinations(c, 2)) for c in cliques]
+    carriers = [[i for i, bits in enumerate(covers) if bits >> k & 1] for k in range(len(index))]
+    max_edges_per_clique = max(bits.bit_count() for bits in covers)
 
     # Greedy initial solution: take the clique covering most uncovered edges.
-    chosen_greedy: list[int] = []
-    uncovered = set(edge_list)
+    best: list[int] = []
+    uncovered = full = (1 << len(index)) - 1
     while uncovered:
-        idx = max(
-            range(len(cliques)),
-            key=lambda i: (len(clique_edges[i] & uncovered), -i),
-        )
-        chosen_greedy.append(idx)
-        uncovered -= clique_edges[idx]
+        idx = max(range(len(cliques)), key=lambda i: ((covers[i] & uncovered).bit_count(), -i))
+        best.append(idx)
+        uncovered &= ~covers[idx]
 
-    best: list[int] = chosen_greedy
-
-    def search(uncovered: frozenset[tuple[int, int]], chosen: list[int]) -> None:
+    def search(uncovered: int, chosen: list[int]) -> None:
         nonlocal best
         if not uncovered:
             if len(chosen) < len(best) or (
@@ -473,18 +504,20 @@ def edge_clique_cover_number(G: PatternGraph) -> tuple[int, EdgeCliqueCover]:
             ):
                 best = list(chosen)
             return
-        lower = -(-len(uncovered) // max_edges_per_clique)
+        lower = -(-uncovered.bit_count() // max_edges_per_clique)
         if len(chosen) + lower > len(best):
             return
-        target = min(uncovered, key=lambda e: (len(carriers[e]), e))
+        target = min(
+            (k for k in range(len(carriers)) if uncovered >> k & 1),
+            key=lambda k: len(carriers[k]),
+        )
         for idx in carriers[target]:
             chosen.append(idx)
-            search(uncovered - frozenset(clique_edges[idx]), chosen)
+            search(uncovered & ~covers[idx], chosen)
             chosen.pop()
 
-    search(frozenset(edge_list), [])
-    cover = EdgeCliqueCover([cliques[i] for i in best])
-    return len(best), cover
+    search(full, [])
+    return len(best), EdgeCliqueCover([cliques[i] for i in best])
 
 
 def diameter_witness_matrix(G: PatternGraph, u: int, v: int) -> SymTropMatrix:

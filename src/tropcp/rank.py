@@ -70,6 +70,7 @@ from .core import (
 from .graphs import (
     CliquePartitions,
     edge_clique_cover_number,
+    max_clique,
     min_clique_cover_size,
     pattern_graph,
 )
@@ -498,7 +499,7 @@ def cp_rank_leq(
     if r < 1:
         raise ValueError("r must be >= 1")
     G = pattern_graph(A)
-    C, scale = scaled_rows(A)
+    C, _, scale = scaled_rows(A)
     reqs = _finite_offdiag_requirements(C)
     budget = _Budget(node_limit, timeout_s)
     stats = SearchStats()
@@ -577,50 +578,6 @@ def _conflict(C: list[list[Optional[int]]], e: tuple[int, int], f: tuple[int, in
     return lo > hi
 
 
-def _max_clique(adj: list[int], deadline: float) -> list[int]:
-    """A maximum clique of the graph with bitset rows adj, by branch and bound.
-
-    Candidates are greedily coloured, and a branch closes when the clique
-    so far plus the colours left cannot beat the best one found.  Past the
-    deadline (a `time.monotonic()` value) the search stops and returns the
-    largest clique found so far.
-    """
-    best: list[int] = []
-    clique: list[int] = []
-
-    def expand(cand: int) -> None:
-        nonlocal best
-        if time.monotonic() > deadline:
-            raise _Guard
-        order: list[tuple[int, int]] = []
-        uncoloured, colour = cand, 0
-        while uncoloured:
-            colour += 1
-            free = uncoloured
-            while free:
-                v = (free & -free).bit_length() - 1
-                free &= ~adj[v] & ~(1 << v)
-                uncoloured &= ~(1 << v)
-                order.append((v, colour))
-        for v, colour in reversed(order):
-            if len(clique) + colour <= len(best):
-                return
-            clique.append(v)
-            rest = cand & adj[v]
-            if rest:
-                expand(rest)
-            elif len(clique) > len(best):
-                best = clique[:]
-            clique.pop()
-            cand &= ~(1 << v)
-
-    try:
-        expand((1 << len(adj)) - 1)
-    except _Guard:
-        pass
-    return sorted(best)
-
-
 def fooling_set_bound(
     A: SymTropMatrix, timeout_s: float = math.inf
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -642,7 +599,7 @@ def fooling_set_bound(
     """
     require_normalized(A)
     deadline = time.monotonic() + timeout_s
-    C, _ = scaled_rows(A)
+    C = scaled_rows(A)[0]
     entries = [(i, j) for i in range(A.n) for j in range(i, A.n) if C[i][j] is not None]
     adj = [0] * len(entries)
     for a, e in enumerate(entries):
@@ -650,7 +607,7 @@ def fooling_set_bound(
             if _conflict(C, e, entries[b]):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    fooling = tuple(entries[v] for v in _max_clique(adj, deadline))
+    fooling = tuple(entries[v] for v in max_clique(adj, deadline))
     return len(fooling), fooling
 
 
@@ -679,10 +636,12 @@ def cp_rank_exact(
     `timeout_s` and `node_limit` bound the whole call: the fooling-set
     bound and each `cp_rank_leq(r)` get what is left of one deadline and
     one node budget.  `threads` is accepted; the search runs serially.
-    A negative `r_max` raises ValueError.
+    A negative `r_max` or `node_limit`, or a negative or NaN `timeout_s`,
+    raises ValueError.
     """
-    if r_max is not None and r_max < 0:
-        raise ValueError(f"r_max must be >= 0, got {r_max}")
+    for name, value in (("r_max", r_max), ("node_limit", node_limit), ("timeout_s", timeout_s)):
+        if value is not None and not value >= 0:  # NaN fails too
+            raise ValueError(f"{name} must be >= 0, got {value}")
     deadline = time.monotonic() + timeout_s
     stats = SearchStats()
     if all(v.is_inf for _, _, v in A.upper_entries()):
@@ -746,5 +705,4 @@ def zero_one_rank(A: SymTropMatrix) -> int:
             raise ValueError(f"entry ({i + 1},{j + 1}) = {v} is not 0 or 1")
     G = pattern_graph(A)
     cc, _ = edge_clique_cover_number(G)
-    isolated = sum(1 for v in range(G.n) if not G.neighbors(v))
-    return cc + isolated
+    return cc + G.masks.count(0)  # one factor per isolated vertex

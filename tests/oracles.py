@@ -84,6 +84,36 @@ def brute_edge_clique_cover(G: PatternGraph) -> int:
     return len(edges)
 
 
+def brute_least_edge_clique_cover(G: PatternGraph) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically least minimum edge clique cover by maximal cliques.
+
+    Subsets of the sorted maximal cliques are tried by size, and each size
+    in lexicographic order, so the first cover found is the least one.
+    """
+    maximal = [
+        c
+        for c in all_cliques(G)
+        if len(c) >= 2 and not any(G.is_clique(c + (v,)) for v in range(G.n) if v not in c)
+    ]
+    edges = set(G.edges)
+    for size in range(len(maximal) + 1):
+        for subset in itertools.combinations(sorted(maximal), size):
+            if {e for c in subset for e in itertools.combinations(c, 2)} >= edges:
+                return subset
+    raise AssertionError("the maximal cliques always cover the edges")
+
+
+def reference_cp_rank_is_one(A: SymTropMatrix) -> bool:
+    """Rank one of a CP matrix by the quadruple characterization, O(n^4):
+    A[i,j1] * A[k,j2] == A[k,j1] * A[i,j2] for all rows i < k, columns j1 < j2."""
+    n = A.n
+    return all(
+        A[i, j1] * A[k, j2] == A[k, j1] * A[i, j2]
+        for i, k in itertools.combinations(range(n), 2)
+        for j1, j2 in itertools.combinations(range(n), 2)
+    )
+
+
 def _lattice(max_value: Fraction) -> list[TropScalar]:
     values: list[TropScalar] = []
     step = Fraction(1, 2)

@@ -20,9 +20,12 @@ from tropcp import (
     normalize,
     rank_one_product,
     support,
+    trop_matrix_sum,
 )
 from tropcp.corpus import flat_3x3, flat_3x3_normalized, rank_one_shifted_3x3, rank_six_5x5
 from tropcp.generators import random_cp_matrix
+
+from oracles import reference_cp_rank_is_one
 
 small_scalars = st.one_of(
     st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4).map(
@@ -30,6 +33,29 @@ small_scalars = st.one_of(
     ),
     st.just(INF),
 )
+
+
+
+
+@st.composite
+def cp_matrices(draw):
+    """CP matrices with inf entries: a sum of one or two rank-one products,
+    sometimes with one off-diagonal entry raised (which keeps it CP), or a
+    seeded random CP matrix."""
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 3)) == 0:
+        return random_cp_matrix(n, draw(st.integers(0, 10**6)))
+    vectors = st.lists(small_scalars, min_size=n, max_size=n).map(TropVector)
+    factors = draw(st.lists(vectors, min_size=1, max_size=2))
+    A = trop_matrix_sum([rank_one_product(b) for b in factors])
+    if n >= 2 and draw(st.booleans()):
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(draw(pair))
+        raise_by = draw(st.sampled_from([INF, TropScalar(Fraction(1, 2)), TropScalar(1)]))
+        rows = A.rows()
+        rows[i][j] = rows[j][i] = rows[i][j] * raise_by
+        A = SymTropMatrix.from_rows(rows)
+    return A
 
 
 class TestMembership:
@@ -87,6 +113,13 @@ class TestRankOne:
         assert cp_rank_is_one(m)
         again = extract_rank_one_factor(m)
         assert rank_one_product(again) == m
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(cp_matrices())
+    def test_matches_the_quadruple_characterization(self, A):
+        assert is_completely_positive(A)
+        assert cp_rank_is_one(A) == reference_cp_rank_is_one(A)
 
 
 class TestNormalize:

@@ -294,6 +294,20 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.startswith("error: r_max must be >= 0")
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--node-limit", "-1", "node_limit must be >= 0"),
+            ("--timeout-s", "-1", "timeout_s must be >= 0"),
+            ("--timeout-s", "nan", "timeout_s must be >= 0"),
+        ],
+    )
+    def test_negative_or_nan_guards_exit_two(self, capsys, paw_file, flag, value, message):
+        assert main(["rank", paw_file, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/file.tmat"]) == 2
 

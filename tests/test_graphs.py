@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ import tropcp.graphs as graphs_mod
 import tropcp.rank as rank_mod
 from tropcp import (
     CliqueCover,
+    EdgeCliqueCover,
     PatternGraph,
     SymTropMatrix,
     cover_bound,
@@ -37,11 +39,12 @@ from tropcp.corpus import (
     rank_six_5x5,
 )
 from tropcp.generators import random_pattern_graph
-from tropcp.graphs import CliquePartitions
+from tropcp.graphs import CliquePartitions, max_clique
 
 from oracles import (
     all_cliques,
     brute_edge_clique_cover,
+    brute_least_edge_clique_cover,
     brute_min_cover_bound,
     reference_clique_partitions,
     reference_min_clique_cover_size,
@@ -81,6 +84,42 @@ class TestPatternGraph:
     def test_loops_rejected(self):
         with pytest.raises(ValueError):
             PatternGraph(3, [(1, 1)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_up_to(8))
+    def test_queries_agree_with_the_edge_set(self, G):
+        masks = G.adjacency_masks()
+        for a in range(G.n):
+            nbrs = {b for b in range(G.n) if (min(a, b), max(a, b)) in G.edges}
+            assert G.neighbors(a) == nbrs
+            assert G.degree(a) == len(nbrs)
+            assert masks[a] == sum(1 << b for b in nbrs)
+            for b in range(G.n):
+                assert G.has_edge(a, b) == (b in nbrs)
+        for size in range(G.n + 1):
+            for vs in itertools.combinations(range(G.n), size):
+                expected = all(e in G.edges for e in itertools.combinations(vs, 2))
+                assert G.is_clique(reversed(vs)) == expected
+
+
+class TestMaxClique:
+    def test_matches_brute_force_on_every_graph_up_to_five(self):
+        for G in every_graph_up_to_five():
+            clique = max_clique(G.adjacency_masks())
+            assert clique == sorted(clique) and G.is_clique(clique)
+            assert len(clique) == max(len(c) for c in all_cliques(G))
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_up_to(9))
+    def test_matches_brute_force(self, G):
+        clique = max_clique(G.adjacency_masks())
+        assert G.is_clique(clique)
+        assert len(clique) == max(len(c) for c in all_cliques(G))
+
+    def test_past_deadline_still_returns_a_clique(self):
+        G = random_pattern_graph(16, 3, 0.5)
+        clique = max_clique(G.adjacency_masks(), deadline=time.monotonic() - 1.0)
+        assert clique == sorted(clique) and G.is_clique(clique)
 
 
 class TestDiameter:
@@ -417,6 +456,19 @@ class TestEdgeCliqueCover:
 
     def test_maximal_cliques_of_bowtie(self):
         assert maximal_cliques(bowtie_graph()) == [(0, 1, 2), (0, 3, 4)]
+
+    def test_cover_is_the_least_minimum_cover_on_every_graph_up_to_five(self):
+        for G in every_graph_up_to_five():
+            least = brute_least_edge_clique_cover(G)
+            assert edge_clique_cover_number(G) == (len(least), EdgeCliqueCover(least))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_cover_is_the_least_minimum_cover_on_seeded_graphs(self, n):
+        for seed in range(6):
+            for p in (0.3, 0.5, 0.7):
+                G = random_pattern_graph(n, seed, p)
+                least = brute_least_edge_clique_cover(G)
+                assert edge_clique_cover_number(G) == (len(least), EdgeCliqueCover(least))
 
     def test_min_clique_cover_size(self):
         assert min_clique_cover_size(PatternGraph.empty(5)) == 5

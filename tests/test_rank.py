@@ -392,7 +392,7 @@ class TestFoolingSetBound:
         A, e, f = pair
         if e == f:
             return
-        C, _ = scaled_rows(A)
+        C = scaled_rows(A)[0]
         system = pair_system(A, e, f)
         expected = system is None or not kernel_verdict(system)
         assert expected == conflict_by_fm(A, e, f)
@@ -460,6 +460,23 @@ class TestFoolingSetBound:
         for r_max in (4, 2):  # rank_lower_bound is 5
             _, cert = cp_rank_exact(rank_six_5x5(), r_max=r_max)
             assert (cert.refuted, cert.refuted_by, cert.undetermined_at) == ((), (), r_max + 1)
+
+    @pytest.mark.parametrize(
+        "guards, message",
+        [
+            ({"node_limit": -1}, "node_limit must be >= 0"),
+            ({"timeout_s": -1.0}, "timeout_s must be >= 0"),
+            ({"timeout_s": math.nan}, "timeout_s must be >= 0"),
+        ],
+    )
+    def test_negative_or_nan_guards_rejected(self, guards, message):
+        with pytest.raises(ValueError, match=message):
+            cp_rank_exact(paw_matrix(1, 2), **guards)
+
+    def test_zero_and_infinite_guards_accepted(self):
+        assert cp_rank_exact(paw_matrix(1, 2), timeout_s=math.inf)[0] == 2
+        rank, cert = cp_rank_exact(paw_matrix(1, 2), node_limit=0)
+        assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 2)
 
     def test_negative_r_max_rejected(self):
         with pytest.raises(ValueError, match="r_max must be >= 0"):
@@ -637,7 +654,7 @@ def search_anchor_skeleton(budget):
     """The serial search of one skeleton of the n = 7 anchor at r = 8 (1094 nodes)."""
     A = generate_instance(random_pattern_graph(7, 2, 0.3), 102)
     parts = ((0, 3), (1,), (2,), (4, 6), (5,))
-    C, scale = scaled_rows(A)
+    C, _, scale = scaled_rows(A)
     reqs = _finite_offdiag_requirements(C)
     return _search_skeleton(C, scale, 8, parts, reqs, budget, SearchStats())
 
@@ -669,7 +686,7 @@ class TestGuards:
         assert time.monotonic() - start < 0.5
         assert (rank, cert.status) == (None, "undetermined")
         # a clique search cut short still returns pairwise conflicting entries
-        C, _ = scaled_rows(A)
+        C = scaled_rows(A)[0]
         for timeout_s in (0.0, 0.1):
             size, entries = fooling_set_bound(A, timeout_s=timeout_s)
             assert size == len(entries) < 32
