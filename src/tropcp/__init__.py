@@ -50,7 +50,6 @@ from .graphs import (
     pattern_graph,
 )
 from .decompose import (
-    BlockPlan,
     clique_block,
     construct_decomposition,
     construct_decomposition_detailed,

@@ -53,25 +53,27 @@ class _InputError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse):
+    """The file at `path`, parsed; an unreadable or malformed file is an input error."""
     try:
-        return Path(path).read_text()
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-
-
-def _read_matrix(path: str):
-    try:
-        return parse_matrix(_read_text(path))
     except ParseError as exc:
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _read_graph(path: str):
+def _normalizing(fn, A):
+    """fn(A), for an fn that normalizes A; an all-infinite diagonal is an input error.
+
+    NotCompletelyPositiveError, a ValueError, passes on to main, which exits 1.
+    """
     try:
-        return parse_graph(_read_text(path))
-    except ParseError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        return fn(A)
+    except NotCompletelyPositiveError:
+        raise
+    except ValueError as exc:  # every diagonal entry is infinite
+        raise _InputError(str(exc)) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -84,12 +86,8 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cliques_1based(cliques) -> list[list[int]]:
-    return [[v + 1 for v in c] for c in cliques]
-
-
 def cmd_check(args) -> int:
-    A = _read_matrix(args.matrix)
+    A = _read(args.matrix, parse_matrix)
     start = time.monotonic()
     cp = is_completely_positive(A)
     report = make_report(
@@ -102,20 +100,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if cp else EXIT_PROPERTY_FALSE
 
 
-def _not_cp() -> int:
-    print("input is not completely positive", file=sys.stderr)
-    return EXIT_PROPERTY_FALSE
-
-
 def cmd_normalize(args) -> int:
-    A = _read_matrix(args.matrix)
+    A = _read(args.matrix, parse_matrix)
     start = time.monotonic()
-    try:
-        C, record = normalize(A)
-    except NotCompletelyPositiveError:
-        return _not_cp()
-    except ValueError as exc:  # every diagonal entry is infinite
-        raise _InputError(str(exc)) from None
+    C, record = _normalizing(normalize, A)
     if args.raw:
         _emit(render_matrix(C), args.out)
         return EXIT_OK
@@ -134,7 +122,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    A = _read_matrix(args.matrix)
+    A = _read(args.matrix, parse_matrix)
     start = time.monotonic()
     G = pattern_graph(A)
     diam = diameter(G)
@@ -157,14 +145,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    A = _read_matrix(args.matrix)
+    A = _read(args.matrix, parse_matrix)
     start = time.monotonic()
-    try:
-        C, _ = normalize(A)
-    except NotCompletelyPositiveError:
-        return _not_cp()
-    except ValueError as exc:  # every diagonal entry is infinite
-        raise _InputError(str(exc)) from None
+    C, record = _normalizing(normalize, A)
     G = pattern_graph(C)
     cover, bound = min_cover_bound(G)
     # cp_rank_upper_bound, reusing this cover search
@@ -175,7 +158,8 @@ def cmd_bound(args) -> int:
         {
             "upper_bound": ub,
             "cover_bound": bound,
-            "cover": _cliques_1based(cover.cliques),
+            # in the input's numbering: normalize drops infinite-diagonal rows
+            "cover": [[record.survivors[v] + 1 for v in c] for c in cover.cliques],
             "empty_pattern_exception": ub != bound,
         },
         timing_s=time.monotonic() - start,
@@ -185,14 +169,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    A = _read_matrix(args.matrix)
+    A = _read(args.matrix, parse_matrix)
     start = time.monotonic()
-    try:
-        dec, (_, blocks, tail_mode) = decompose_cp_detailed(A)
-    except NotCompletelyPositiveError:
-        return _not_cp()
-    except ValueError as exc:  # every diagonal entry is infinite
-        raise _InputError(str(exc)) from None
+    dec, (_, blocks, tail_mode) = _normalizing(decompose_cp_detailed, A)
     report = make_report(
         "decompose",
         matrix_digest(A),
@@ -210,7 +189,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    A = _read_matrix(args.matrix)
+    A = _read(args.matrix, parse_matrix)
     start = time.monotonic()
     try:
         rank, cert = cp_rank_exact(
@@ -248,7 +227,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_cc(args) -> int:
-    G = _read_graph(args.graph)
+    G = _read(args.graph, parse_graph)
     start = time.monotonic()
     cc, cover = edge_clique_cover_number(G)
     report = make_report(
@@ -256,7 +235,7 @@ def cmd_cc(args) -> int:
         "",
         {
             "edge_clique_cover_number": cc,
-            "cliques": _cliques_1based(cover.cliques),
+            "cliques": [[v + 1 for v in c] for c in cover.cliques],
             "n": G.n,
             "edge_count": len(G.edges),
         },
@@ -267,7 +246,7 @@ def cmd_cc(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    G = _read_graph(args.graph)
+    G = _read(args.graph, parse_graph)
     u, v = args.u - 1, args.v - 1
     try:
         W = diameter_witness_matrix(G, u, v)
@@ -286,7 +265,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    G = _read_graph(args.graph)
+    G = _read(args.graph, parse_graph)
     try:
         A = generate_instance(
             G,
@@ -310,7 +289,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = run_selftest(print, quick=args.quick)
+    failures = run_selftest(print)
     return EXIT_OK if failures == 0 else EXIT_PROPERTY_FALSE
 
 
@@ -374,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inf-probability", type=float, default=0.0)
     p.add_argument("--report", action="store_true", help="emit a JSON report")
 
-    p = add("selftest", cmd_selftest, "run the bundled example corpus")
-    p.add_argument("--quick", action="store_true", help="skip the slowest refutation")
+    add("selftest", cmd_selftest, "run the bundled example corpus")
 
     return parser
 
@@ -389,6 +367,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except NotCompletelyPositiveError:
+        print("input is not completely positive", file=sys.stderr)
+        return EXIT_PROPERTY_FALSE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,10 @@
 """Constructive rank-one decompositions from a vertex clique cover.
 
 Given a normalized CP matrix and a clique cover of its pattern graph, the
-factors split into four blocks, each built on the matrix in its own
-coordinates (the cliques need not occupy consecutive vertices):
+cover is first reduced to a partition into k cliques of size >= 2 and l
+singletons (`make_block_plan`).  The factors are read off that partition
+in four blocks, each built on the matrix in its own coordinates (the
+cliques need not occupy consecutive vertices):
 
   1. one all-zero-on-its-clique indicator per clique (intra-clique entries),
   2. per ordered clique pair (i < j) and vertex of clique j, a vector that
@@ -14,14 +16,14 @@ coordinates (the cliques need not occupy consecutive vertices):
 The tail has closed forms for two or three singletons (when a clique of
 size >= 2 exists to supply singleton diagonals, and the involved entries
 are finite); otherwise a per-pair construction plus a greedy merge pass is
-always sound, and an optional exact-search pass restores the floor(l^2/4)
-factor count when the merge alone does not reach it.  Counts are whatever
-was actually achieved and the result is verified exactly on construction.
+always sound, and an exact search with a TAIL_SEARCH_NODES budget restores
+the floor(l^2/4) factor count when the merge alone does not reach it.
+Counts are whatever was actually achieved and the result is verified
+exactly on construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .analysis import require_normalized
@@ -37,7 +39,6 @@ from .core import (
 from .graphs import (
     CliqueCover,
     PatternGraph,
-    cover_bound_terms,
     is_small_empty_pattern,
     min_cover_bound,
     pattern_graph,
@@ -48,43 +49,8 @@ TAIL_CLOSED = "closed-form"
 TAIL_PAIRS = "pairs"
 TAIL_SEARCH = "search"
 
-
-@dataclass(frozen=True)
-class BlockPlan:
-    """The partition a vertex clique cover reduces to, read as four blocks.
-
-    ``cliques`` are its parts of size >= 2 (sizes descending, members
-    ascending) and ``singles`` its singleton vertices, ascending, both in
-    the matrix's own vertex numbering, on which every block is built.
-    ``counts`` are the per-block factor budgets (k, sum_i (i-1) q_i, k*l,
-    floor(l^2/4)), the terms of the cover bound.
-    """
-
-    cover: CliqueCover
-
-    @property
-    def cliques(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c in self.cover.cliques if len(c) >= 2)
-
-    @property
-    def singles(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.cover.cliques if len(c) == 1)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.cover.sizes
-
-    @property
-    def k(self) -> int:
-        return self.cover.k
-
-    @property
-    def singleton_count(self) -> int:
-        return self.cover.singleton_count
-
-    @property
-    def counts(self) -> tuple[int, int, int, int]:
-        return cover_bound_terms(self.sizes, self.singleton_count)
+# node budget of the tail's exact search
+TAIL_SEARCH_NODES = 200_000
 
 
 def reduce_to_partition(cover: CliqueCover, n: int) -> CliqueCover:
@@ -106,17 +72,21 @@ def reduce_to_partition(cover: CliqueCover, n: int) -> CliqueCover:
     return CliqueCover(parts)
 
 
-def make_block_plan(G: PatternGraph, cover: CliqueCover) -> BlockPlan:
-    """The block plan of a vertex clique cover of the pattern graph G."""
+def make_block_plan(G: PatternGraph, cover: CliqueCover) -> CliqueCover:
+    """The partition the blocks are built on, from a vertex clique cover of G.
+
+    Its first ``k`` cliques are the parts of size >= 2 (largest first) and
+    ``singles`` its singleton vertices, both in G's vertex numbering.
+    """
     if not cover.covers(G):
         raise ValueError("not a valid vertex clique cover of the pattern graph")
-    return BlockPlan(reduce_to_partition(cover, G.n))
+    return reduce_to_partition(cover, G.n)
 
 
-def clique_block(A: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
+def clique_block(A: SymTropMatrix, plan: CliqueCover) -> list[list[TropScalar]]:
     """One indicator vector per clique: zero on the clique, infinite elsewhere."""
     out = []
-    for clique in plan.cliques:
+    for clique in plan.cliques[: plan.k]:
         vec: list[TropScalar] = [INF] * A.n
         for t in clique:
             vec[t] = ZERO
@@ -133,13 +103,13 @@ def _column_over(A: SymTropMatrix, p: int, over: Sequence[int]) -> list[TropScal
     return vec
 
 
-def cross_block(A: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
+def cross_block(A: SymTropMatrix, plan: CliqueCover) -> list[list[TropScalar]]:
     """Vectors matching A between distinct cliques.
 
     For cliques i < j and each vertex p of clique j: p's column over
     clique i, zero at p.
     """
-    cliques = plan.cliques
+    cliques = plan.cliques[: plan.k]
     return [
         _column_over(A, p, earlier)
         for i, earlier in enumerate(cliques)
@@ -148,14 +118,14 @@ def cross_block(A: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
     ]
 
 
-def singleton_link_block(A: SymTropMatrix, plan: BlockPlan) -> list[list[TropScalar]]:
+def singleton_link_block(A: SymTropMatrix, plan: CliqueCover) -> list[list[TropScalar]]:
     """Vectors matching A between each clique and each singleton.
 
     Zero at the singleton (covering its diagonal), the singleton's column
     over the clique, infinite elsewhere.
     """
     singles = plan.singles
-    return [_column_over(A, p, clique) for clique in plan.cliques for p in singles]
+    return [_column_over(A, p, clique) for clique in plan.cliques[: plan.k] for p in singles]
 
 
 def _dominates(C: list[list[Optional[int]]], vec: Sequence[Optional[int]]) -> bool:
@@ -214,9 +184,8 @@ def _merge_pass(
 
 def singleton_tail_block(
     A: SymTropMatrix,
-    plan: BlockPlan,
+    plan: CliqueCover,
     small_empty: bool,
-    search_nodes: int,
 ) -> tuple[list[list[TropScalar]], str]:
     """Factors covering entries between singletons (block 4); the exact search
     aims at A.n factors when `small_empty` (`is_small_empty_pattern`), else floor(l^2/4)."""
@@ -258,7 +227,7 @@ def singleton_tail_block(
 
     target = A.n if small_empty else (l * l) // 4
     if len(vectors) > target and l >= 2:
-        found = _tail_exact_search(A, singles, target, search_nodes)
+        found = _tail_exact_search(A, singles, target)
         if found is not None:
             vectors = found
             mode = TAIL_SEARCH
@@ -266,11 +235,11 @@ def singleton_tail_block(
 
 
 def _tail_exact_search(
-    A: SymTropMatrix, singles: Sequence[int], target: int, search_nodes: int
+    A: SymTropMatrix, singles: Sequence[int], target: int
 ) -> Optional[list[list[TropScalar]]]:
     """Decompose the singleton principal submatrix with at most `target` factors.
 
-    Uses the exact rank search with a node budget; on success the factors
+    Uses the exact rank search with a TAIL_SEARCH_NODES budget; on success the factors
     are embedded back with infinity outside the singletons.
     """
     from .rank import cp_rank_leq
@@ -278,7 +247,7 @@ def _tail_exact_search(
     sub = SymTropMatrix.from_upper_func(
         len(singles), lambda i, j: A[singles[i], singles[j]]
     )
-    outcome = cp_rank_leq(sub, target, node_limit=search_nodes, timeout_s=60.0)
+    outcome = cp_rank_leq(sub, target, node_limit=TAIL_SEARCH_NODES, timeout_s=60.0)
     if not outcome.found:
         return None
     embedded = []
@@ -290,31 +259,23 @@ def _tail_exact_search(
     return embedded
 
 
-def construct_decomposition(
-    A: SymTropMatrix,
-    cover: CliqueCover,
-    tail_search_nodes: int = 200_000,
-) -> Decomposition:
+def construct_decomposition(A: SymTropMatrix, cover: CliqueCover) -> Decomposition:
     """Build and verify the clique-cover decomposition of a normalized CP matrix."""
-    dec, _ = construct_decomposition_detailed(A, cover, tail_search_nodes)
+    dec, _ = construct_decomposition_detailed(A, cover)
     return dec
 
 
 def construct_decomposition_detailed(
-    A: SymTropMatrix,
-    cover: CliqueCover,
-    tail_search_nodes: int = 200_000,
-) -> tuple[Decomposition, tuple[BlockPlan, tuple[int, int, int, int], str]]:
-    """As construct_decomposition, also reporting the plan, block counts, and tail mode."""
+    A: SymTropMatrix, cover: CliqueCover
+) -> tuple[Decomposition, tuple[CliqueCover, tuple[int, int, int, int], str]]:
+    """As construct_decomposition, also reporting the partition, block counts, and tail mode."""
     require_normalized(A)
     G = pattern_graph(A)
     plan = make_block_plan(G, cover)
     b1 = clique_block(A, plan)
     b2 = cross_block(A, plan)
     b3 = singleton_link_block(A, plan)
-    b4, tail_mode = singleton_tail_block(
-        A, plan, is_small_empty_pattern(G), tail_search_nodes
-    )
+    b4, tail_mode = singleton_tail_block(A, plan, is_small_empty_pattern(G))
     factors = [TropVector(v) for v in (*b1, *b2, *b3, *b4)]
     dec = Decomposition(A, factors)
     achieved = (len(b1), len(b2), len(b3), len(b4))
@@ -339,30 +300,28 @@ def empty_pattern_01_decomposition(n: int) -> Decomposition:
     return Decomposition(target, factors)
 
 
-def decompose_cp(
-    A: SymTropMatrix, cover: Optional[CliqueCover] = None
-) -> Decomposition:
+def decompose_cp(A: SymTropMatrix) -> Decomposition:
     """Convenience wrapper: normalize, decompose, and lift back to the input.
 
-    Uses the cover minimizing the rank bound when none is given.  The input
-    only needs to be CP, not normalized.
+    Uses the cover minimizing the rank bound.  The input only needs to be
+    CP, not normalized.
     """
-    dec, _ = decompose_cp_detailed(A, cover)
+    dec, _ = decompose_cp_detailed(A)
     return dec
 
 
 def decompose_cp_detailed(
-    A: SymTropMatrix, cover: Optional[CliqueCover] = None
-) -> tuple[Decomposition, tuple[BlockPlan, tuple[int, int, int, int], str]]:
-    """As decompose_cp, also reporting the plan, block counts, and tail mode.
+    A: SymTropMatrix,
+) -> tuple[Decomposition, tuple[CliqueCover, tuple[int, int, int, int], str]]:
+    """As decompose_cp, also reporting the partition, block counts, and tail mode.
 
-    The plan is that of the normalized matrix, whose vertices are the
-    input's; lifting keeps the factor count, so the counts sum to the rank.
+    The partition is that of the normalized matrix, numbered as its rows:
+    the input's rows with an infinite diagonal are gone.  Lifting keeps the
+    factor count, so the counts sum to the rank.
     """
     from .analysis import lift_decomposition, normalize
 
     C, record = normalize(A)
-    if cover is None:
-        cover, _ = min_cover_bound(pattern_graph(C))
+    cover, _ = min_cover_bound(pattern_graph(C))
     dec, details = construct_decomposition_detailed(C, cover)
     return lift_decomposition(dec, record), details

@@ -205,6 +205,11 @@ class CliqueCover:
         return sum(1 for c in self.cliques if len(c) == 1)
 
     @property
+    def singles(self) -> tuple[int, ...]:
+        """The singleton cliques' vertices, ascending."""
+        return tuple(c[0] for c in self.cliques if len(c) == 1)
+
+    @property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for c in self.cliques for v in c)
 

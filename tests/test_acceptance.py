@@ -272,13 +272,6 @@ def test_criterion_9_star_extension_chain():
         cc, _ = edge_clique_cover_number(G)
         assert cc == 5
         rank, cert = cp_rank_exact(A)
-        if rank is None:
-            # degraded path: a 6-factor certificate plus the 5x5 core rank
-            at6 = cp_rank_leq(A, 6)
-            assert at6.found
-            core_rank, _ = cp_rank_exact(rank_six_5x5())
-            assert core_rank == 6
-        else:
-            assert rank == 6
-            assert verify_decomposition(cert.decomposition)
-            assert cert.refuted == (5,)
+        assert rank == 6
+        assert verify_decomposition(cert.decomposition)
+        assert cert.refuted == (5,)

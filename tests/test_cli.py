@@ -114,6 +114,14 @@ class TestGraphAndBound:
         assert payload["cover"] == [[v + 1 for v in c] for c in cover.cliques]
         assert payload["empty_pattern_exception"] == (cp_rank_upper_bound(C) != bound)
 
+    def test_bound_cover_is_in_the_input_numbering(self, capsys, tmp_path):
+        # row 2 has an infinite diagonal, so normalize drops it
+        path = tmp_path / "a.tmat"
+        path.write_text("3\n0 inf 1\ninf inf inf\n1 inf 0\n")
+        code, report = run_json(capsys, "bound", str(path))
+        assert code == 0
+        assert report["payload"]["cover"] == [[1], [3]]
+
 
 class TestDecomposeAndRank:
     def test_decompose_report_reverifies(self, capsys, paw_file):
@@ -263,7 +271,7 @@ class TestGen:
 
 class TestSelftest:
     def test_quick_corpus_passes(self, capsys):
-        assert main(["selftest", "--quick"]) == 0
+        assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 13
