@@ -8,8 +8,11 @@ q1 >= ... >= qk >= 2 bounds the CP-rank by
     k + sum_i (i-1) q_i + k*l + floor(l^2/4)
 
 and different covers give very different bounds: minimizing over covers is
-an exact (exponential, desk-scale) search.
+an exact (exponential, desk-scale) search.  The n singletons always give
+floor(n^2/4), so the search only looks below it.
 """
+
+import time
 
 from tropcp import (
     CliqueCover,
@@ -21,6 +24,7 @@ from tropcp import (
     pattern_graph,
 )
 from tropcp.corpus import paw_graph, paw_matrix, rank_six_5x5
+from tropcp.generators import random_pattern_graph
 
 print("== the paw graph: a triangle with a pendant vertex ==")
 G = paw_graph()
@@ -47,6 +51,22 @@ print()
 print("== empty patterns are the worst case ==")
 E5 = pattern_graph(rank_six_5x5())
 print("5x5 empty pattern cover bound:", min_cover_bound(E5)[1], "(singletons only)")
+
+print()
+print("== triangle-free patterns tie at floor(n^2/4) ==")
+# parts of size <= 2 give every partition the bound floor(n^2/4); the
+# singletons win the tie, without any matching being listed
+C8 = PatternGraph(8, [(i, (i + 1) % 8) for i in range(8)])
+cover, bound = min_cover_bound(C8)
+print("8-cycle: bound", bound, "= floor(64/4), via", len(cover.cliques), "singletons")
+
+dense = random_pattern_graph(15, 1, 0.7)
+start = time.perf_counter()
+_, bound = min_cover_bound(dense)
+print(
+    f"seeded dense pattern, n = 15, {len(dense.edges)} edges: minimum bound {bound}"
+    f" (searched in {time.perf_counter() - start:.2f} s)"
+)
 
 print()
 print("== edge clique covers (lower-bound machinery) ==")

@@ -15,7 +15,9 @@ cliques covering the vertices (`min_clique_cover_size`) and the zero-set
 skeletons of the exact-rank search.  `max_clique` gives the clique
 number that prunes it and the rank module's fooling sets, and an exact
 edge-clique-cover solver branches over maximal cliques held as edge
-bitmasks.  All are exponential, for desk-scale graphs (n up to about 12).
+bitmasks.  All are exponential, for desk-scale graphs; pruned by the
+least bound any completion can reach, the cover-bound search takes about
+a second on a dense n = 16 pattern.
 """
 
 from __future__ import annotations
@@ -311,18 +313,33 @@ def max_clique(adj: Sequence[int], deadline: float = math.inf) -> list[int]:
     return sorted(best)
 
 
+def completion_bound(k: int, l: int, r: int, omega: int) -> int:
+    """Least cover bound, less the sum_i (i-1) q_i so far, of a partition
+    completing k parts of size >= 2 and l singletons with r more vertices
+    in cliques of at most omega.  That sum adds the smaller size of each
+    pair of parts of size >= 2, so a new one adds at least 2 per other one,
+    old or new; `a` new ones leave at least r - a*omega singletons.  At
+    r = 0 this is the partial partition's own bound less the sum."""
+    return min(
+        (k + a) * (1 + s) + 2 * k * a + a * (a - 1) + s * s // 4
+        for a in range(r // 2 + 1 if omega > 1 else 1)
+        for s in (l + max(0, r - a * omega),)
+    )
+
+
 class CliquePartitions:
     """Iterating yields `(parts, bound)` for each partition of G's vertices
     into cliques, with its cover bound, in canonical order: lowest
     uncovered vertex first, its cliques largest first, then lexicographic.
 
     A child leaving `left` vertices uncovered needs ceil(left / omega) more
-    parts and its cover bound only grows, so it is skipped when its part
-    count or bound plus that many is above `max_parts` or `max_bound`.
-    Callers may lower either limit between yields; both are reread after
-    each child entered.  The bound is kept incrementally (sizes >= 2
-    sorted with `bisect`, the running sum_i (i-1) q_i, the singleton
-    count), and each uncovered set's branch list is built once.
+    parts, and no completion of it has a bound below its sum_i (i-1) q_i
+    plus `completion_bound`; it is skipped when the first is above
+    `max_parts` or the second above `max_bound`.  Callers may lower either
+    limit between yields; both are reread after each child entered.  The
+    sum is kept incrementally (sizes >= 2 sorted with `bisect`), each
+    uncovered set's branch list is built once, and each completion bound
+    once per (parts of size >= 2, singletons, vertices left).
     """
 
     def __init__(self, G: PatternGraph, max_parts: int | None = None):
@@ -332,10 +349,12 @@ class CliquePartitions:
         # ints, not inf: the limits are compared in the innermost loop
         self.max_parts = G.n if max_parts is None else max_parts
         self.max_bound = G.n * G.n
-        self._branches: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
+        self._branches: dict[int, list[tuple[tuple[int, ...], int, int, int, int]]] = {}
+        self._completions: dict[tuple[int, int, int], int] = {}
 
     def __iter__(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
         masks, omega, branches = self.masks, self.omega, self._branches
+        completions = self._completions
         parts: list[tuple[int, ...]] = []
         sizes: list[int] = []  # sizes >= 2 of the parts, ascending
 
@@ -344,15 +363,17 @@ class CliquePartitions:
             # depth: the part count of each child
             cliques = branches.get(uncovered)
             if cliques is None:
-                # (clique, uncovered rest, parts the rest still needs, size)
+                # (clique, uncovered rest, parts the rest still needs, size,
+                # vertices the rest holds)
                 left = uncovered.bit_count()
                 cliques = branches[uncovered] = [
-                    (clique, uncovered ^ mask, -((len(clique) - left) // omega), len(clique))
+                    (clique, uncovered ^ mask, -((len(clique) - left) // omega),
+                     len(clique), left - len(clique))
                     for clique, mask in _cliques_containing(uncovered, masks)
                 ]
             k = len(sizes)
             slack, max_bound = self.max_parts - depth, self.max_bound
-            for clique, rest, need, q in cliques:
+            for clique, rest, need, q, r in cliques:
                 if need > slack:
                     continue
                 if q == 1:
@@ -362,8 +383,11 @@ class CliquePartitions:
                     # smaller size moves one place down
                     pos = bisect.bisect_left(sizes, q)
                     kk, w, ll = k + 1, weighted + (k - pos) * q + sum(sizes[:pos]), l
-                bound = kk + w + kk * ll + (ll * ll) // 4
-                if bound + need > max_bound:
+                tail = completions.get((kk, ll, r))
+                if tail is None:
+                    tail = completions[kk, ll, r] = completion_bound(kk, ll, r, omega)
+                bound = w + tail  # the child's own bound once r == 0
+                if bound > max_bound:
                     continue
                 parts.append(clique)
                 if not rest:
@@ -386,15 +410,20 @@ def min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
     Any cover can be shrunk to a partition of the vertex set into cliques
     without increasing the bound, so this walks `CliquePartitions`,
     lowering `max_bound` to each bound found; no later partition exceeds
-    it.  Ties break toward the canonically smallest clique list.
+    it.  Ties break toward the canonically smallest clique list.  The n
+    singletons have bound floor(n^2/4) and the smallest clique list of
+    all, so they win every tie there: the search starts one below it and
+    falls back to them when it finds nothing, as on every triangle-free
+    pattern.
     """
     search = CliquePartitions(G)
-    best_key = None
+    best, best_key = G.n * G.n // 4, tuple((v,) for v in range(G.n))
+    search.max_bound = best - 1
     for parts, bound in search:
         key = tuple(sorted(parts, key=lambda c: (-len(c), c)))
-        if best_key is None or bound < search.max_bound or key < best_key:
-            best_key, search.max_bound = key, bound
-    return CliqueCover(best_key), search.max_bound
+        if bound < best or key < best_key:
+            best_key, best, search.max_bound = key, bound, bound
+    return CliqueCover(best_key), best
 
 
 def min_clique_cover_size(G: PatternGraph) -> int:

@@ -38,8 +38,9 @@ from tropcp.corpus import (
     paw_matrix,
     rank_six_5x5,
 )
-from tropcp.generators import random_pattern_graph
-from tropcp.graphs import CliquePartitions, max_clique
+from tropcp.analysis import normalize
+from tropcp.generators import random_cp_matrix, random_pattern_graph
+from tropcp.graphs import CliquePartitions, completion_bound, cover_bound_terms, max_clique
 
 from oracles import (
     all_cliques,
@@ -60,12 +61,16 @@ def graphs_up_to(draw, max_n):
     return PatternGraph(n, [e for e in pairs if draw(st.floats(0, 1)) < p])
 
 
-def every_graph_up_to_five():
-    """All 1,099 labelled graphs with n <= 5."""
-    for n in range(1, 6):
+def every_graph_up_to(max_n):
+    """All labelled graphs with n <= max_n: 1,099 for 5, 33,867 for 6."""
+    for n in range(1, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
             yield PatternGraph(n, [e for b, e in enumerate(pairs) if bits >> b & 1])
+
+
+def cycle(n):
+    return PatternGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestPatternGraph:
@@ -104,7 +109,7 @@ class TestPatternGraph:
 
 class TestMaxClique:
     def test_matches_brute_force_on_every_graph_up_to_five(self):
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             clique = max_clique(G.adjacency_masks())
             assert clique == sorted(clique) and G.is_clique(clique)
             assert len(clique) == max(len(c) for c in all_cliques(G))
@@ -252,7 +257,7 @@ class TestMinCoverBound:
         # all 1,099 labelled graphs with n <= 5; on 860 of them several
         # clique partitions attain the minimum, so the tie-break decides
         tied = 0
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             cover, bound = min_cover_bound(G)
             assert (cover, bound) == reference_min_cover_bound(G)
             bounds = [b for _, b in CliquePartitions(G)]
@@ -264,6 +269,24 @@ class TestMinCoverBound:
     @given(graphs_up_to(10))
     def test_matches_reference_search(self, G):
         assert min_cover_bound(G) == reference_min_cover_bound(G)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reference_search_on_dense_graphs(self, seed):
+        G = random_pattern_graph(11 + seed % 2, 1800 + seed, edge_probability=0.6)
+        assert min_cover_bound(G) == reference_min_cover_bound(G)
+
+    def test_triangle_free_patterns_keep_the_singletons(self):
+        # with parts of size <= 2 every partition's bound is floor(n^2/4),
+        # so the n singletons win the tie, found without listing a matching
+        triangle_free = [
+            G
+            for G in every_graph_up_to(6)
+            if not any(G.is_clique(t) for t in itertools.combinations(range(G.n), 3))
+        ]
+        for G in triangle_free + [cycle(n) for n in range(7, 15)]:
+            cover, bound = min_cover_bound(G)
+            assert bound == G.n * G.n // 4
+            assert cover.cliques == tuple((v,) for v in range(G.n))
 
 
 def skeletons_searched(monkeypatch, G, r):
@@ -285,7 +308,7 @@ def skeletons_searched(monkeypatch, G, r):
 
 class TestCliquePartitions:
     def test_every_partition_with_its_bound_by_default(self):
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             got = list(CliquePartitions(G))
             assert [parts for parts, _ in got] == list(
                 reference_clique_partitions(G, G.n)
@@ -295,7 +318,7 @@ class TestCliquePartitions:
     def test_rank_skeletons_match_reference_on_every_graph_up_to_five(
         self, monkeypatch
     ):
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             for r in range(1, G.n + 1):
                 expected = list(reference_clique_partitions(G, r))
                 assert skeletons_searched(monkeypatch, G, r) == expected
@@ -311,7 +334,7 @@ class TestCliquePartitions:
         # each yield lowers a limit to one below what it just saw; the
         # search must then yield exactly the reference partitions that
         # beat every earlier one
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             everything = list(CliquePartitions(G))
             for limit, measure in (
                 ("max_parts", lambda item: len(item[0])),
@@ -343,7 +366,7 @@ class TestCliquePartitions:
 
         cliques_containing = graphs_mod._cliques_containing
         monkeypatch.setattr(graphs_mod, "_cliques_containing", counting)
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             partitions = CliquePartitions(G)
             search = iter(partitions)
             next(search)
@@ -351,6 +374,47 @@ class TestCliquePartitions:
             before = len(listed)
             assert next(search, None) is None
             assert len(listed) == before
+
+    def test_branch_lists_on_a_dense_catalogue_pattern_and_a_cycle(self, monkeypatch):
+        # the benchmark catalogue's dense n = 13 matrix with seed 1310, and
+        # the 14-cycle, whose every child is cut at the root: no partition
+        # beats the singletons' floor(14^2/4)
+        listed = []
+
+        def counting(allowed, masks):
+            listed.append(allowed)
+            return cliques_containing(allowed, masks)
+
+        cliques_containing = graphs_mod._cliques_containing
+        monkeypatch.setattr(graphs_mod, "_cliques_containing", counting)
+        G = pattern_graph(normalize(random_cp_matrix(13, 1310))[0])
+        assert min_cover_bound(G)[1] == 28
+        assert len(listed) == 315
+        listed.clear()
+        assert min_cover_bound(cycle(14))[1] == 49
+        assert len(listed) == 1
+
+
+class TestCompletionBound:
+    @staticmethod
+    def completions(r, omega):
+        """Every multiset of part sizes in 1..omega summing to r, descending."""
+        if r == 0:
+            yield ()
+        for q in range(min(r, omega), 0, -1):
+            for rest in TestCompletionBound.completions(r - q, q):
+                yield (q,) + rest
+
+    def test_never_above_any_completion(self):
+        rng = random.Random(18)
+        for k, l, r, omega in itertools.product(range(5), range(5), range(9), range(1, 6)):
+            old = sorted((rng.randint(2, 6) for _ in range(k)), reverse=True)
+            floor = cover_bound_terms(old, l)[1] + completion_bound(k, l, r, omega)
+            for new in self.completions(r, omega):
+                sizes = sorted(old + [q for q in new if q >= 2], reverse=True)
+                assert floor <= ordered_cover_bound(sizes, l + new.count(1))
+            if r == 0:
+                assert floor == ordered_cover_bound(old, l)
 
 
 class TestMinCliqueCoverSize:
@@ -364,7 +428,7 @@ class TestMinCliqueCoverSize:
                     return size
 
     def test_every_graph_up_to_five(self):
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             size = min_clique_cover_size(G)
             assert size == reference_min_clique_cover_size(G)
             assert size == self.brute(G)
@@ -395,7 +459,7 @@ class TestUpperBound:
         n = 3 + seed % 5
         G = random_pattern_graph(n, seed)
         _, bound = min_cover_bound(G)
-        assert bound <= max(n, n * n // 4)
+        assert bound <= n * n // 4
 
 
 class TestEdgeCliqueCover:
@@ -458,7 +522,7 @@ class TestEdgeCliqueCover:
         assert maximal_cliques(bowtie_graph()) == [(0, 1, 2), (0, 3, 4)]
 
     def test_cover_is_the_least_minimum_cover_on_every_graph_up_to_five(self):
-        for G in every_graph_up_to_five():
+        for G in every_graph_up_to(5):
             least = brute_least_edge_clique_cover(G)
             assert edge_clique_cover_number(G) == (len(least), EdgeCliqueCover(least))
 
