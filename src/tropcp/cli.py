@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: check, normalize, graph, bound, decompose, rank, cc, witness,
-gen, selftest.  Commands print a versioned JSON report (or a raw matrix /
-graph file where noted) and exit 0 on success, 1 when the tested property
-is false (e.g. not completely positive), 2 on usage or input errors, and 3
-when a search ended undetermined under its resource guard.
+gen, selftest.  Every subcommand takes one path, `_run`: it reads and parses
+the input file, times the command on it, and writes what the command returns
+to `--out` or stdout: raw file text, or a payload it wraps in a versioned
+JSON report.  `main` maps errors to exit codes in one place.  The codes are
+0 on success, 1 when the tested property is false (e.g. not completely
+positive), 2 on usage or input errors, and 3 when a search ended
+undetermined under its resource guard.
 """
 
 from __future__ import annotations
@@ -48,32 +51,18 @@ EXIT_PROPERTY_FALSE = 1
 EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
 
-
-class _InputError(Exception):
-    pass
+# the input positional of a subcommand -> its file parser
+_PARSERS = {"matrix": parse_matrix, "graph": parse_graph}
 
 
 def _read(path: str, parse):
-    """The file at `path`, parsed; an unreadable or malformed file is an input error."""
+    """The file at `path`, parsed; the errors name the file."""
     try:
         return parse(Path(path).read_text())
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
+        raise OSError(f"cannot read {path}: {exc}") from None
     except ParseError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
-def _normalizing(fn, A):
-    """fn(A), for an fn that normalizes A; an all-infinite diagonal is an input error.
-
-    NotCompletelyPositiveError, a ValueError, passes on to main, which exits 1.
-    """
-    try:
-        return fn(A)
-    except NotCompletelyPositiveError:
-        raise
-    except ValueError as exc:  # every diagonal entry is infinite
-        raise _InputError(str(exc)) from None
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -81,125 +70,104 @@ def _emit(text: str, out: Optional[str]) -> None:
         try:
             Path(out).write_text(text)
         except OSError as exc:
-            raise _InputError(f"cannot write {out}: {exc}") from None
+            raise OSError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def cmd_check(args) -> int:
-    A = _read(args.matrix, parse_matrix)
+def _run(args) -> int:
+    """Run one subcommand: read its input, time it, write its text or report.
+
+    A command returns (exit code, body) or (exit code, body, overrides).
+    A str body is written as it is.  A dict body is the payload of a report
+    that names the input matrix by digest (a graph input names none) and
+    records the command's time; `overrides` replaces these make_report
+    arguments or sets the others (flags and search stats).
+    """
+    data = _read(getattr(args, args.reads), _PARSERS[args.reads]) if args.reads else None
     start = time.monotonic()
+    code, body, *overrides = args.fn(data, args)
+    if isinstance(body, dict):
+        fields = {
+            "input_digest": matrix_digest(data) if args.reads == "matrix" else "",
+            "timing_s": time.monotonic() - start,
+        }
+        fields.update(*overrides)
+        body = dump_report(make_report(args.command, payload=body, **fields))
+    _emit(body, args.out)
+    return code
+
+
+def _generated(M, raw: bool, payload: dict):
+    """A graph command's generated matrix: its file, or an untimed report naming it."""
+    if raw:
+        return EXIT_OK, render_matrix(M)
+    payload["matrix"] = render_matrix(M)
+    return EXIT_OK, payload, {"input_digest": matrix_digest(M), "timing_s": None}
+
+
+def cmd_check(A, args):
     cp = is_completely_positive(A)
-    report = make_report(
-        "check",
-        matrix_digest(A),
-        {"completely_positive": cp, "n": A.n},
-        timing_s=time.monotonic() - start,
-    )
-    _emit(dump_report(report), args.out)
-    return EXIT_OK if cp else EXIT_PROPERTY_FALSE
+    return (EXIT_OK if cp else EXIT_PROPERTY_FALSE), {"completely_positive": cp, "n": A.n}
 
 
-def cmd_normalize(args) -> int:
-    A = _read(args.matrix, parse_matrix)
-    start = time.monotonic()
-    C, record = _normalizing(normalize, A)
+def cmd_normalize(A, args):
+    C, record = normalize(A)
     if args.raw:
-        _emit(render_matrix(C), args.out)
-        return EXIT_OK
-    report = make_report(
-        "normalize",
-        matrix_digest(A),
-        {
-            "normalized": render_matrix(C),
-            "deleted_indices": [i + 1 for i in record.deleted],
-            "shifts": {str(i + 1): str(s) for i, s in record.shifts},
-        },
-        timing_s=time.monotonic() - start,
-    )
-    _emit(dump_report(report), args.out)
-    return EXIT_OK
+        return EXIT_OK, render_matrix(C)
+    return EXIT_OK, {
+        "normalized": render_matrix(C),
+        "deleted_indices": [i + 1 for i in record.deleted],
+        "shifts": {str(i + 1): str(s) for i, s in record.shifts},
+    }
 
 
-def cmd_graph(args) -> int:
-    A = _read(args.matrix, parse_matrix)
-    start = time.monotonic()
+def cmd_graph(A, args):
     G = pattern_graph(A)
-    diam = diameter(G)
     if args.raw:
-        _emit(render_graph(G), args.out)
-        return EXIT_OK
-    report = make_report(
-        "graph",
-        matrix_digest(A),
-        {
-            "graph": render_graph(G),
-            "n": G.n,
-            "edge_count": len(G.edges),
-            "diameter": "inf" if diam == float("inf") else int(diam),
-        },
-        timing_s=time.monotonic() - start,
-    )
-    _emit(dump_report(report), args.out)
-    return EXIT_OK
+        return EXIT_OK, render_graph(G)
+    diam = diameter(G)
+    return EXIT_OK, {
+        "graph": render_graph(G),
+        "n": G.n,
+        "edge_count": len(G.edges),
+        "diameter": "inf" if diam == float("inf") else int(diam),
+    }
 
 
-def cmd_bound(args) -> int:
-    A = _read(args.matrix, parse_matrix)
-    start = time.monotonic()
-    C, record = _normalizing(normalize, A)
+def cmd_bound(A, args):
+    C, record = normalize(A)
     G = pattern_graph(C)
     cover, bound = min_cover_bound(G)
     # cp_rank_upper_bound, reusing this cover search
     ub = G.n if is_small_empty_pattern(G) else bound
-    report = make_report(
-        "bound",
-        matrix_digest(A),
-        {
-            "upper_bound": ub,
-            "cover_bound": bound,
-            # in the input's numbering: normalize drops infinite-diagonal rows
-            "cover": [[record.survivors[v] + 1 for v in c] for c in cover.cliques],
-            "empty_pattern_exception": ub != bound,
-        },
-        timing_s=time.monotonic() - start,
+    return EXIT_OK, {
+        "upper_bound": ub,
+        "cover_bound": bound,
+        # in the input's numbering: normalize drops infinite-diagonal rows
+        "cover": [[record.survivors[v] + 1 for v in c] for c in cover.cliques],
+        "empty_pattern_exception": ub != bound,
+    }
+
+
+def cmd_decompose(A, args):
+    dec, (_, blocks, tail_mode) = decompose_cp_detailed(A)
+    return EXIT_OK, {
+        "decomposition": embed_decomposition(dec),
+        "factor_count": dec.rank,
+        "verified": True,
+        "blocks": list(blocks),
+        "tail_mode": tail_mode,
+    }
+
+
+def cmd_rank(A, args):
+    rank, cert = cp_rank_exact(
+        A,
+        r_max=args.max_r,
+        node_limit=args.node_limit,
+        timeout_s=args.timeout_s,
     )
-    _emit(dump_report(report), args.out)
-    return EXIT_OK
-
-
-def cmd_decompose(args) -> int:
-    A = _read(args.matrix, parse_matrix)
-    start = time.monotonic()
-    dec, (_, blocks, tail_mode) = _normalizing(decompose_cp_detailed, A)
-    report = make_report(
-        "decompose",
-        matrix_digest(A),
-        {
-            "decomposition": embed_decomposition(dec),
-            "factor_count": dec.rank,
-            "verified": True,
-            "blocks": list(blocks),
-            "tail_mode": tail_mode,
-        },
-        timing_s=time.monotonic() - start,
-    )
-    _emit(dump_report(report), args.out)
-    return EXIT_OK
-
-
-def cmd_rank(args) -> int:
-    A = _read(args.matrix, parse_matrix)
-    start = time.monotonic()
-    try:
-        rank, cert = cp_rank_exact(
-            A,
-            r_max=args.max_r,
-            node_limit=args.node_limit,
-            timeout_s=args.timeout_s,
-        )
-    except ValueError as exc:  # a negative guard, or a NaN --timeout-s
-        raise _InputError(str(exc)) from None
     payload = {
         "status": cert.status,
         "rank": ("inf" if rank == float("inf") else rank),
@@ -209,88 +177,45 @@ def cmd_rank(args) -> int:
     }
     if cert.decomposition is not None:
         payload["decomposition"] = embed_decomposition(cert.decomposition)
-    report = make_report(
-        "rank",
-        matrix_digest(A),
-        payload,
-        refuted=bool(cert.refuted),
-        undetermined=cert.status == "undetermined",
-        timing_s=time.monotonic() - start,
-        stats=cert.stats,
-    )
-    _emit(dump_report(report), args.out)
-    if cert.status == "undetermined":
-        return EXIT_UNDETERMINED
-    if cert.status == "not_cp":
-        return EXIT_PROPERTY_FALSE
-    return EXIT_OK
+    codes = {"undetermined": EXIT_UNDETERMINED, "not_cp": EXIT_PROPERTY_FALSE}
+    return codes.get(cert.status, EXIT_OK), payload, {
+        "refuted": bool(cert.refuted),
+        "undetermined": cert.status == "undetermined",
+        "stats": cert.stats,
+    }
 
 
-def cmd_cc(args) -> int:
-    G = _read(args.graph, parse_graph)
-    start = time.monotonic()
+def cmd_cc(G, args):
     cc, cover = edge_clique_cover_number(G)
-    report = make_report(
-        "cc",
-        "",
-        {
-            "edge_clique_cover_number": cc,
-            "cliques": [[v + 1 for v in c] for c in cover.cliques],
-            "n": G.n,
-            "edge_count": len(G.edges),
-        },
-        timing_s=time.monotonic() - start,
+    return EXIT_OK, {
+        "edge_clique_cover_number": cc,
+        "cliques": [[v + 1 for v in c] for c in cover.cliques],
+        "n": G.n,
+        "edge_count": len(G.edges),
+    }
+
+
+def cmd_witness(G, args):
+    W = diameter_witness_matrix(G, args.u - 1, args.v - 1)
+    return _generated(W, args.raw, {"pair": [args.u, args.v]})
+
+
+def cmd_gen(G, args):
+    A = generate_instance(
+        G,
+        args.seed,
+        max_numerator=args.max_numerator,
+        max_denominator=args.max_denominator,
+        inf_probability=args.inf_probability,
     )
-    _emit(dump_report(report), args.out)
-    return EXIT_OK
+    return _generated(A, not args.report, {"seed": args.seed})
 
 
-def cmd_witness(args) -> int:
-    G = _read(args.graph, parse_graph)
-    u, v = args.u - 1, args.v - 1
-    try:
-        W = diameter_witness_matrix(G, u, v)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-    if args.raw:
-        _emit(render_matrix(W), args.out)
-        return EXIT_OK
-    report = make_report(
-        "witness",
-        matrix_digest(W),
-        {"matrix": render_matrix(W), "pair": [args.u, args.v]},
-    )
-    _emit(dump_report(report), args.out)
-    return EXIT_OK
-
-
-def cmd_gen(args) -> int:
-    G = _read(args.graph, parse_graph)
-    try:
-        A = generate_instance(
-            G,
-            args.seed,
-            max_numerator=args.max_numerator,
-            max_denominator=args.max_denominator,
-            inf_probability=args.inf_probability,
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-    if args.report:
-        report = make_report(
-            "gen",
-            matrix_digest(A),
-            {"matrix": render_matrix(A), "seed": args.seed},
-        )
-        _emit(dump_report(report), args.out)
-    else:
-        _emit(render_matrix(A), args.out)
-    return EXIT_OK
-
-
-def cmd_selftest(args) -> int:
-    failures = run_selftest(print)
-    return EXIT_OK if failures == 0 else EXIT_PROPERTY_FALSE
+def cmd_selftest(_, args):
+    lines = []
+    failures = run_selftest(lines.append)
+    text = "".join(f"{line}\n" for line in lines)
+    return (EXIT_OK if failures == 0 else EXIT_PROPERTY_FALSE), text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,31 +226,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tropcp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, reads=None):
+        """A subcommand reading the file given as positional `reads` ("matrix" or "graph")."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, reads=reads)
+        if reads:
+            p.add_argument(reads)
         p.add_argument("--out", help="write output to this file instead of stdout")
         return p
 
-    p = add("check", cmd_check, "test complete positivity")
-    p.add_argument("matrix")
+    add("check", cmd_check, "test complete positivity", "matrix")
 
-    p = add("normalize", cmd_normalize, "zero-diagonal normalization")
-    p.add_argument("matrix")
+    p = add("normalize", cmd_normalize, "zero-diagonal normalization", "matrix")
     p.add_argument("--raw", action="store_true", help="print the matrix file only")
 
-    p = add("graph", cmd_graph, "pattern graph and diameter")
-    p.add_argument("matrix")
+    p = add("graph", cmd_graph, "pattern graph and diameter", "matrix")
     p.add_argument("--raw", action="store_true", help="print the graph file only")
 
-    p = add("bound", cmd_bound, "minimum clique-cover rank bound")
-    p.add_argument("matrix")
+    add("bound", cmd_bound, "minimum clique-cover rank bound", "matrix")
+    add("decompose", cmd_decompose, "constructive rank-one decomposition", "matrix")
 
-    p = add("decompose", cmd_decompose, "constructive rank-one decomposition")
-    p.add_argument("matrix")
-
-    p = add("rank", cmd_rank, "exact CP-rank by complete search")
-    p.add_argument("matrix")
+    p = add("rank", cmd_rank, "exact CP-rank by complete search", "matrix")
     p.add_argument("--max-r", type=int, default=None, help="stop after this r")
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S)
@@ -336,17 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="deprecated: accepted and ignored; the search runs serially",
     )
 
-    p = add("cc", cmd_cc, "exact edge clique cover number")
-    p.add_argument("graph")
+    add("cc", cmd_cc, "exact edge clique cover number", "graph")
 
-    p = add("witness", cmd_witness, "distance witness matrix for a non-edge pair")
-    p.add_argument("graph")
+    p = add("witness", cmd_witness, "distance witness matrix for a non-edge pair", "graph")
     p.add_argument("u", type=int, help="1-based vertex")
     p.add_argument("v", type=int, help="1-based vertex")
     p.add_argument("--raw", action="store_true", help="print the matrix file only")
 
-    p = add("gen", cmd_gen, "random normalized CP instance with a given pattern")
-    p.add_argument("graph")
+    p = add("gen", cmd_gen, "random normalized CP instance with a given pattern", "graph")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-numerator", type=int, default=6)
     p.add_argument("--max-denominator", type=int, default=3)
@@ -364,13 +282,14 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    """Run the command line; every error maps to its exit code here."""
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _run(args)
     except NotCompletelyPositiveError:
         print("input is not completely positive", file=sys.stderr)
         return EXIT_PROPERTY_FALSE
-    except _InputError as exc:
+    except (OSError, ValueError) as exc:  # input, usage and --out errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -180,10 +180,10 @@ class SymTropMatrix:
 
     __slots__ = ("n", "_upper")
 
-    def __init__(self, n: int, upper: Sequence[TropScalar]):
+    def __init__(self, n: int, upper: Sequence[Rationalish]):
         if n < 1:
             raise ValueError("matrix dimension must be >= 1")
-        upper = tuple(upper)
+        upper = tuple(map(_coerce, upper))
         if len(upper) != _upper_size(n):
             raise ValueError(
                 f"expected {_upper_size(n)} upper-triangle entries, got {len(upper)}"
@@ -214,8 +214,7 @@ class SymTropMatrix:
     @classmethod
     def from_upper_func(cls, n: int, entry) -> "SymTropMatrix":
         """Build from a callable entry(i, j) defined for 0 <= i <= j < n."""
-        upper = [_coerce(entry(i, j)) for i in range(n) for j in range(i, n)]
-        return cls(n, upper)
+        return cls(n, [entry(i, j) for i in range(n) for j in range(i, n)])
 
     @classmethod
     def zeros(cls, n: int) -> "SymTropMatrix":

@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: subcommands, reports, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 
 import tropcp.analysis
 import tropcp.cli
+import tropcp.selftest
 from tropcp import SymTropMatrix, normalize, parse_matrix, verify_decomposition
 from tropcp.cli import main
 from tropcp.corpus import flat_3x3, paw_matrix, rank_six_5x5, star6_matrix
@@ -276,6 +283,22 @@ class TestSelftest:
         assert "FAIL" not in out
         assert out.count("PASS") == 13
 
+    def test_out_file_gets_the_lines(self, capsys, tmp_path):
+        target = tmp_path / "selftest.txt"
+        assert main(["selftest", "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        text = target.read_text()
+        assert "FAIL" not in text
+        assert text.count("PASS") == 13
+
+    def test_failing_case_exits_one(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("expected failure")
+
+        monkeypatch.setattr(tropcp.selftest, "CASES", [("broken", broken)])
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.startswith("FAIL broken (")
+
 
 class TestUsage:
     @pytest.mark.parametrize("command", ["normalize", "bound", "decompose"])
@@ -332,3 +355,122 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Golden runs: every subcommand and error case, pinned byte for byte.  Each
+# case runs in a fresh directory holding GOLDEN_FILES, with relative paths,
+# so no message names a temporary directory.  Report times are blanked.
+# Regenerate tests/cli_golden.json with `PYTHONPATH=src python tests/test_cli.py`.
+
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+
+GOLDEN_FILES = {
+    "paw.tmat": render_matrix(paw_matrix(1, 2)),
+    "r6.tmat": render_matrix(rank_six_5x5()),
+    "shift.tmat": "3\n0 1 1\n1 1 1\n1 1 1\n",
+    "notcp.tmat": "2\n0 -1\n-1 0\n",
+    "inf.tmat": "2\ninf inf\ninf inf\n",
+    "asym.tmat": "2\n0 1\n2 0\n",
+    "paw.tgraph": render_graph(PatternGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])),
+    "p4.tgraph": render_graph(PatternGraph.path(4)),
+    "empty.tgraph": "0 0\n",
+}
+
+GOLDEN_CASES = [
+    "check paw.tmat",
+    "check notcp.tmat",
+    "check inf.tmat",
+    "normalize shift.tmat",
+    "normalize shift.tmat --raw",
+    "normalize shift.tmat --raw --out n.tmat",
+    "graph paw.tmat",
+    "graph paw.tmat --raw",
+    "graph inf.tmat",
+    "bound paw.tmat",
+    "bound r6.tmat",
+    "decompose paw.tmat",
+    "decompose r6.tmat --out d.json",
+    "rank r6.tmat",
+    "rank r6.tmat --node-limit 3",
+    "rank notcp.tmat",
+    "rank inf.tmat",
+    "rank paw.tmat --threads 2",
+    "cc paw.tgraph",
+    "witness p4.tgraph 1 4",
+    "witness p4.tgraph 1 4 --raw",
+    "gen paw.tgraph --seed 11",
+    "gen paw.tgraph --seed 11 --report",
+    "gen paw.tgraph --seed 1 --out g.tmat",
+    "selftest",
+    # errors
+    "check missing.tmat",
+    "cc missing.tgraph",
+    "check asym.tmat",
+    "rank asym.tmat",
+    "cc paw.tmat",
+    "normalize notcp.tmat",
+    "bound notcp.tmat --out b.json",
+    "decompose notcp.tmat",
+    "normalize inf.tmat",
+    "bound inf.tmat",
+    "decompose inf.tmat --out d.json",
+    "rank paw.tmat --out missing/r.json",
+    "gen paw.tgraph --seed 1 --out missing/g.tmat",
+    "rank paw.tmat --max-r -1",
+    "rank paw.tmat --node-limit -1",
+    "rank paw.tmat --timeout-s nan",
+    "witness p4.tgraph 1 2",
+    "witness p4.tgraph 1 9",
+    "gen paw.tgraph --seed 1 --max-numerator 0",
+    "gen paw.tgraph --seed 1 --inf-probability 1.5",
+    "cc empty.tgraph",
+    "witness empty.tgraph 1 2 --raw",
+    "gen empty.tgraph --seed 1",
+]
+
+
+def _blank_times(text):
+    text = re.sub(r'("(?:timing_s|wall_time_s)": )[-+.0-9e]+', r'\1"<time>"', text)
+    return re.sub(r"\(\d+\.\d+s\)", "(…s)", text)
+
+
+def golden_run(command, workdir):
+    """Run `tropcp <command>` in workdir: its exit code, stdout, stderr and --out file."""
+    for name, text in GOLDEN_FILES.items():
+        (workdir / name).write_text(text)
+    argv = command.split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    target = workdir / argv[argv.index("--out") + 1] if "--out" in argv else None
+    return {
+        "code": code,
+        "stdout": _blank_times(out.getvalue()),
+        "stderr": err.getvalue(),
+        "out_file": _blank_times(target.read_text()) if target and target.exists() else None,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", GOLDEN_CASES)
+def test_golden_run(golden, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert golden_run(command, tmp_path) == golden[command]
+
+
+if __name__ == "__main__":
+    results = {}
+    for command in GOLDEN_CASES:
+        with tempfile.TemporaryDirectory() as d:
+            cwd = os.getcwd()
+            os.chdir(d)
+            try:
+                results[command] = golden_run(command, Path(d))
+            finally:
+                os.chdir(cwd)
+    text = json.dumps(results, indent=1, ensure_ascii=False) + "\n"
+    GOLDEN_PATH.write_text(text, encoding="utf-8")

@@ -11,6 +11,7 @@ from tropcp import (
     SymTropMatrix,
     TropScalar,
     TropVector,
+    cp_rank_exact,
     is_exact_decomposition,
     rank_one_product,
     reconstruct,
@@ -93,6 +94,16 @@ class TestMatrix:
         assert rank_one_product(b) == SymTropMatrix.from_rows(
             [["inf", "inf", "inf"], ["inf", 0, 0], ["inf", 0, 0]]
         )
+
+    def test_constructor_coerces_its_entries(self):
+        A = SymTropMatrix(2, [0, 1, 0])
+        B = SymTropMatrix.from_rows([[0, 1], [1, 0]])
+        assert A == B and hash(A) == hash(B)
+        assert all(isinstance(v, TropScalar) for _, _, v in A.upper_entries())
+        assert cp_rank_exact(A)[0] == cp_rank_exact(B)[0] == 2
+        assert SymTropMatrix(1, ["inf"])[0, 0] == INF
+        with pytest.raises(TypeError, match="inexact float"):
+            SymTropMatrix(2, [0, 0.5, 0])
 
     def test_asymmetric_rejected_with_location(self):
         with pytest.raises(ValueError, match=r"\(1,2\)"):
