@@ -5,20 +5,28 @@ dominates the sum of the corresponding diagonal entries.  Such a matrix can
 be shifted to zero diagonal (deleting all-infinite rows first) without
 changing its CP-rank; the shift data is kept in a NormalizationRecord so
 the transform is exactly invertible.
+
+All of it computes on the integer grid of `core.scaled_rows`; one pass,
+`_zero_diagonal`, serves the CP check, `normalize` and the rank-one test.
+`TropScalar`s are built only for the matrices and vectors returned.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     INF,
+    ZERO,
     Decomposition,
     SymTropMatrix,
     TropScalar,
     TropVector,
-    rank_one_product,
+    on_grid,
+    scaled_rows,
 )
 
 
@@ -26,13 +34,38 @@ class NotCompletelyPositiveError(ValueError):
     """Raised when an operation requires a completely positive matrix."""
 
 
+def _zero_diagonal(
+    A: SymTropMatrix,
+) -> Optional[tuple[list[Optional[int]], list[tuple[int, int]], int]]:
+    """A's normalized upper triangle on its grid, or None when A is not CP.
+
+    Returns 2*a_ij - a_ii - a_jj row by row over the survivors (the rows with
+    a finite diagonal), each survivor with its a_ii, and the `scaled_rows`
+    scale.  A is CP iff no entry is negative and no row with an infinite
+    diagonal has a finite entry."""
+    rows, _, scale = scaled_rows(A)
+    if any(v is not None for i, row in enumerate(rows) if row[i] is None for v in row):
+        return None
+    survivors = [(i, row[i]) for i, row in enumerate(rows) if row[i] is not None]
+    upper: list[Optional[int]] = []
+    for p, (i, d_i) in enumerate(survivors):
+        for j, d_j in survivors[p:]:
+            v = rows[i][j]
+            if v is not None:
+                v = 2 * v - d_i - d_j
+                if v < 0:
+                    return None
+            upper.append(v)
+    return upper, survivors, scale
+
+
+def _scalar(value: Optional[int], scale: int) -> TropScalar:
+    return INF if value is None else TropScalar(Fraction(value, scale))
+
+
 def is_completely_positive(A: SymTropMatrix) -> bool:
     """True iff 2*A[i,j] >= A[i,i] + A[j,j] for all i, j (infinity greatest)."""
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            if A[i, j] * A[i, j] < A[i, i] * A[j, j]:
-                return False
-    return True
+    return _zero_diagonal(A) is not None
 
 
 def require_cp(A: SymTropMatrix) -> None:
@@ -42,13 +75,10 @@ def require_cp(A: SymTropMatrix) -> None:
 
 def is_normalized(A: SymTropMatrix) -> bool:
     """Zero diagonal and nonnegative (or infinite) off-diagonal entries."""
-    for i, j, v in A.upper_entries():
-        if i == j:
-            if v != TropScalar(0):
-                return False
-        elif not v.is_inf and v.finite < 0:
-            return False
-    return True
+    return all(
+        row[i] == 0 and all(v is None or v >= 0 for v in row)
+        for i, row in enumerate(scaled_rows(A)[0])
+    )
 
 
 def require_normalized(A: SymTropMatrix) -> None:
@@ -56,41 +86,36 @@ def require_normalized(A: SymTropMatrix) -> None:
         raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
 
 
-def _rank_one_candidate(A: SymTropMatrix) -> TropVector:
-    """The only b that can have b (x) b^T = A, anchored on the first row
-    with finite diagonal: b[j] = A[j,j0] - A[j0,j0]/2; all-infinite when
-    every diagonal entry is infinite."""
-    anchor = next((i for i in range(A.n) if not A[i, i].is_inf), None)
-    if anchor is None:
-        return TropVector([INF] * A.n)
-    half = A[anchor, anchor].finite / 2
-    return TropVector(
-        INF if A[j, anchor].is_inf else TropScalar(A[j, anchor].finite - half)
-        for j in range(A.n)
-    )
+def _rank_one_factor(A: SymTropMatrix) -> Optional[TropVector]:
+    """b with b (x) b^T = A, or None when A is CP but not of rank one.
+
+    b_i = a_ii / 2 works exactly when the normalized matrix is all zero.
+    """
+    zero_diagonal = _zero_diagonal(A)
+    if zero_diagonal is None:
+        raise NotCompletelyPositiveError("matrix is not completely positive")
+    upper, survivors, scale = zero_diagonal
+    if any(v != 0 for v in upper):
+        return None
+    b = [INF] * A.n
+    for i, d in survivors:
+        b[i] = _scalar(d, 2 * scale)
+    return TropVector(b)
 
 
 def cp_rank_is_one(A: SymTropMatrix) -> bool:
-    """Whether A is a single tropical rank-one outer product, in O(n^2).
-
-    A rank-one A = b (x) b^T gives b back from any row with finite
-    diagonal, so A has rank one exactly when the anchor-row candidate
-    reproduces it.  Rejects non-CP input, for which a rank-one
-    certificate is meaningless.
-    """
-    require_cp(A)
-    return rank_one_product(_rank_one_candidate(A)) == A
+    """Whether A is a single tropical rank-one outer product; rejects non-CP input."""
+    return _rank_one_factor(A) is not None
 
 
 def extract_rank_one_factor(A: SymTropMatrix) -> TropVector:
     """Recover b with b (x) b^T = A for a CP-rank-one matrix.
 
-    Anchored on the first row with finite diagonal: b[j] = A[j,j0] - A[j0,j0]/2.
-    An all-infinite matrix yields the all-infinite vector.
+    b[j] = A[j,j]/2, infinite where the diagonal is; an all-infinite
+    matrix yields the all-infinite vector.
     """
-    require_cp(A)
-    b = _rank_one_candidate(A)
-    if rank_one_product(b) != A:
+    b = _rank_one_factor(A)
+    if b is None:
         raise ValueError("matrix is not of CP-rank one")
     return b
 
@@ -114,26 +139,24 @@ class NormalizationRecord:
         return tuple(i for i, _ in self.shifts)
 
     def shift_of(self, original_index: int) -> Fraction:
-        for i, s in self.shifts:
-            if i == original_index:
-                return s
-        raise KeyError(original_index)
+        return dict(self.shifts)[original_index]
+
+    def _grid(self, values: Iterable[TropScalar]) -> tuple[list[int], list[Optional[int]], int]:
+        """The shifts and the values on one grid, and its scale."""
+        rationals = (None if x.is_inf else x.finite for x in values)
+        grid, scale = on_grid(itertools.chain((s for _, s in self.shifts), rationals))
+        return grid[: len(self.shifts)], grid[len(self.shifts) :], scale
 
     def restore_matrix(self, C: SymTropMatrix) -> SymTropMatrix:
         """Rebuild the original matrix from its normalized form."""
-        surv = self.survivors
-        if C.n != len(surv):
+        if C.n != len(self.shifts):
             raise ValueError("normalized matrix does not match this record")
-        pos = {orig: p for p, orig in enumerate(surv)}
-        shift = dict(self.shifts)
+        shift, entries, scale = self._grid(itertools.chain.from_iterable(C.rows()))
+        pos = {orig: p for p, (orig, _) in enumerate(self.shifts)}
 
         def entry(i: int, j: int) -> TropScalar:
-            if i in pos and j in pos:
-                v = C[pos[i], pos[j]]
-                if v.is_inf:
-                    return INF
-                return TropScalar(v.finite + shift[i] + shift[j])
-            return INF
+            v = entries[pos[i] * C.n + pos[j]] if i in pos and j in pos else None
+            return INF if v is None else _scalar(v + shift[pos[i]] + shift[pos[j]], scale)
 
         return SymTropMatrix.from_upper_func(self.n, entry)
 
@@ -144,15 +167,20 @@ class NormalizationRecord:
         inserting infinity at deleted ones) turns a factor of the normalized
         matrix into a factor of the original.
         """
-        surv = self.survivors
-        if len(c) != len(surv):
+        return self._lift([c])[0]
+
+    def _lift(self, factors: Sequence[TropVector]) -> list[TropVector]:
+        """`lift_factor` of each factor, all on one grid."""
+        if any(len(c) != len(self.shifts) for c in factors):
             raise ValueError("factor length does not match this record")
-        shift = dict(self.shifts)
-        entries: list[TropScalar] = [INF] * self.n
-        for p, orig in enumerate(surv):
-            v = c[p]
-            entries[orig] = v if v.is_inf else TropScalar(v.finite + shift[orig])
-        return TropVector(entries)
+        shift, values, scale = self._grid(itertools.chain.from_iterable(factors))
+        lifted = []
+        for k in range(0, len(values), len(shift)):
+            entries: list[TropScalar] = [INF] * self.n
+            for (orig, _), s, v in zip(self.shifts, shift, values[k : k + len(shift)]):
+                entries[orig] = INF if v is None else _scalar(v + s, scale)
+            lifted.append(TropVector(entries))
+        return lifted
 
 
 def normalize(A: SymTropMatrix) -> tuple[SymTropMatrix, NormalizationRecord]:
@@ -162,38 +190,24 @@ def normalize(A: SymTropMatrix) -> tuple[SymTropMatrix, NormalizationRecord]:
     off-diagonal entries; the returned record inverts the transform exactly
     and carries factor lifting.  CP-rank is unchanged by this transform.
     """
-    require_cp(A)
-    deleted = tuple(i for i in range(A.n) if A[i, i].is_inf)
-    survivors = [i for i in range(A.n) if not A[i, i].is_inf]
+    zero_diagonal = _zero_diagonal(A)
+    if zero_diagonal is None:
+        raise NotCompletelyPositiveError("matrix is not completely positive")
+    upper, survivors, scale = zero_diagonal
     if not survivors:
-        raise ValueError(
-            "every diagonal entry is infinite; the normalized matrix would be empty"
-        )
-    shifts = tuple((i, A[i, i].finite / 2) for i in survivors)
-    half = dict(shifts)
-
-    def entry(p: int, q: int) -> TropScalar:
-        a = A[survivors[p], survivors[q]]
-        if a.is_inf:
-            return INF
-        return TropScalar(a.finite - half[survivors[p]] - half[survivors[q]])
-
-    C = SymTropMatrix.from_upper_func(len(survivors), entry)
-    return C, NormalizationRecord(n=A.n, deleted=deleted, shifts=shifts)
+        raise ValueError("every diagonal entry is infinite; the normalized matrix would be empty")
+    C = SymTropMatrix(len(survivors), [_scalar(v, 2 * scale) for v in upper])
+    deleted = tuple(sorted(set(range(A.n)) - {i for i, _ in survivors}))
+    shifts = tuple((i, Fraction(d, 2 * scale)) for i, d in survivors)
+    return C, NormalizationRecord(A.n, deleted, shifts)
 
 
-def lift_decomposition(
-    d: Decomposition, record: NormalizationRecord
-) -> Decomposition:
+def lift_decomposition(d: Decomposition, record: NormalizationRecord) -> Decomposition:
     """Turn a decomposition of the normalized matrix into one of the original."""
-    target = record.restore_matrix(d.target)
-    return Decomposition(target, [record.lift_factor(c) for c in d.factors])
+    return Decomposition(record.restore_matrix(d.target), record._lift(d.factors))
 
 
 def support(A: SymTropMatrix) -> SymTropMatrix:
     """The 0/1 matrix marking zero entries of A (infinity counts as nonzero)."""
-    zero = TropScalar(0)
-    one = TropScalar(1)
-    return SymTropMatrix.from_upper_func(
-        A.n, lambda i, j: zero if A[i, j] == zero else one
-    )
+    rows, one = scaled_rows(A)[0], TropScalar(1)
+    return SymTropMatrix.from_upper_func(A.n, lambda i, j: ZERO if rows[i][j] == 0 else one)

@@ -64,7 +64,7 @@ class TropScalar:
 
     # Tropical semiring operators: + is min, * is rational addition.
     def __add__(self, other) -> "TropScalar":
-        other = _coerce(other)
+        other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
         if self._v is None:
@@ -76,7 +76,7 @@ class TropScalar:
     __radd__ = __add__
 
     def __mul__(self, other) -> "TropScalar":
-        other = _coerce(other)
+        other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
         if self._v is None or other._v is None:
@@ -86,13 +86,13 @@ class TropScalar:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
+        other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
         return self._v == other._v
 
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
+        other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
         if self._v is None:
@@ -111,12 +111,16 @@ class TropScalar:
         return "inf" if self._v is None else str(self._v)
 
 
-def _coerce(value) -> TropScalar:
-    if isinstance(value, TropScalar):
-        return value
-    if isinstance(value, (int, Fraction, str, float)):
-        return TropScalar(value)
-    return NotImplemented
+def _coerce(value: Rationalish) -> TropScalar:
+    """A constructor entry as a scalar; None reads as inf, and another type
+    `TropScalar` does not take raises TypeError."""
+    return value if isinstance(value, TropScalar) else TropScalar(value)
+
+
+def _operand(value) -> TropScalar:
+    """An operator's other operand; NotImplemented for a type it does not take."""
+    ok = isinstance(value, (TropScalar, int, Fraction, str, float))
+    return _coerce(value) if ok else NotImplemented
 
 
 #: The tropical additive identity (and multiplicative absorber).
@@ -203,7 +207,7 @@ class SymTropMatrix:
             coerced.append([_coerce(e) for e in row])
         for i in range(n):
             for j in range(i + 1, n):
-                if coerced[i][j] != coerced[j][i]:
+                if coerced[i][j]._v != coerced[j][i]._v:
                     raise ValueError(
                         f"asymmetric input: entry ({i + 1},{j + 1}) = "
                         f"{coerced[i][j]} but ({j + 1},{i + 1}) = {coerced[j][i]}"
@@ -272,9 +276,7 @@ def trop_matrix_sum(ms: Sequence[SymTropMatrix]) -> SymTropMatrix:
     for m in ms[1:]:
         if m.n != n:
             raise ValueError(f"dimension mismatch: {m.n} != {n}")
-    return SymTropMatrix.from_upper_func(
-        n, lambda i, j: functools.reduce(lambda a, m2: a + m2[i, j], ms, INF)
-    )
+    return SymTropMatrix.from_upper_func(n, lambda i, j: min(m[i, j] for m in ms))
 
 
 def reconstruct(factors: Sequence[TropVector], n: int) -> SymTropMatrix:
@@ -284,30 +286,32 @@ def reconstruct(factors: Sequence[TropVector], n: int) -> SymTropMatrix:
     return trop_matrix_sum([rank_one_product(b) for b in factors])
 
 
+def on_grid(values: Iterable[Optional[Fraction]]) -> tuple[list[Optional[int]], int]:
+    """Each value times the lcm of the values' denominators, and that lcm (the scale).
+
+    None (inf) stays None; scaling keeps every sum, order and equality.
+    """
+    values = list(values)
+    scale = math.lcm(1, *{v.denominator for v in values if v is not None})
+    return [None if v is None else v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def scaled_rows(
     A: SymTropMatrix, vectors: Sequence[Sequence[TropScalar]] = ()
 ) -> tuple[list[list[Optional[int]]], list[list[Optional[int]]], int]:
-    """A's rows and the vectors on one integer grid, and its scale.
+    """A's full rows and the vectors on one `on_grid` grid, and its scale.
 
-    The scale is the lcm of every denominator in A and the vectors; each
-    value times it is an int, and inf is None.  This is the exact integer
-    form of the search kernels and the verifier: scaling by a positive
-    integer keeps every sum, order and equality between values.
+    The exact integer form past the API boundary: the CP check, normalization
+    and lifting, pattern graphs, the search kernels, merge pass and verifier.
     """
-    upper = [e._v for e in A._upper]
-    values = [[e._v for e in vec] for vec in vectors]
-    scale = math.lcm(
-        1, *{v.denominator for v in itertools.chain(upper, *values) if v is not None}
+    grid, scale = on_grid(
+        itertools.chain((e._v for e in A._upper), *((e._v for e in vec) for vec in vectors))
     )
-
-    def scaled(v: Optional[Fraction]) -> Optional[int]:
-        return None if v is None else v.numerator * (scale // v.denominator)
-
-    stored = iter(upper)  # the upper triangle, row by row
+    stored = iter(grid)  # the upper triangle row by row, then each vector
     rows: list[list[Optional[int]]] = []
     for i in range(A.n):
-        rows.append([row[i] for row in rows] + [scaled(next(stored)) for _ in range(i, A.n)])
-    return rows, [[scaled(v) for v in vec] for vec in values], scale
+        rows.append([row[i] for row in rows] + [next(stored) for _ in range(i, A.n)])
+    return rows, [[next(stored) for _ in vec] for vec in vectors], scale
 
 
 def is_exact_decomposition(

@@ -290,13 +290,8 @@ def empty_pattern_01_decomposition(n: int) -> Decomposition:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    zero, one = TropScalar(0), TropScalar(1)
-    target = SymTropMatrix.from_upper_func(
-        n, lambda i, j: zero if i == j else one
-    )
-    factors = [
-        TropVector([zero if j == i else one for j in range(n)]) for i in range(n)
-    ]
+    target = SymTropMatrix.from_upper_func(n, lambda i, j: 0 if i == j else 1)
+    factors = [TropVector([0 if j == i else 1 for j in range(n)]) for i in range(n)]
     return Decomposition(target, factors)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import SymTropMatrix, TropScalar
+from .core import Rationalish, SymTropMatrix
 from .graphs import PatternGraph
 
 
@@ -28,19 +28,17 @@ def generate_instance(
             f"got {max_numerator}, {max_denominator} and {inf_probability}"
         )
     rng = random.Random(seed)
-    zero = TropScalar(0)
-    entries: dict[tuple[int, int], TropScalar] = {}
+    upper: list[Rationalish] = []  # row by row, as `SymTropMatrix` stores it
     for i in range(G.n):
         for j in range(i, G.n):
             if i == j or G.has_edge(i, j):
-                entries[(i, j)] = zero
+                upper.append(0)
             elif inf_probability and rng.random() < inf_probability:
-                entries[(i, j)] = TropScalar("inf")
+                upper.append("inf")
             else:
                 num = rng.randint(1, max_numerator)
-                den = rng.randint(1, max_denominator)
-                entries[(i, j)] = TropScalar(Fraction(num, den))
-    return SymTropMatrix.from_upper_func(G.n, lambda i, j: entries[(i, j)])
+                upper.append(Fraction(num, rng.randint(1, max_denominator)))
+    return SymTropMatrix(G.n, upper)
 
 
 def random_pattern_graph(n: int, seed: int, edge_probability: float = 0.4) -> PatternGraph:
@@ -64,17 +62,15 @@ def random_cp_matrix(n: int, seed: int, max_value: int = 4) -> SymTropMatrix:
     """
     rng = random.Random(seed)
     diag = [Fraction(rng.randint(-max_value, max_value)) for _ in range(n)]
-    entries: dict[tuple[int, int], TropScalar] = {}
+    upper: list[Fraction] = []  # row by row, as `SymTropMatrix` stores it
     for i in range(n):
-        entries[(i, i)] = TropScalar(diag[i])
+        upper.append(diag[i])
         for j in range(i + 1, n):
-            base = (diag[i] + diag[j]) / 2
-            if rng.random() < 0.4:
-                slack = Fraction(0)
-            else:
+            slack = 0
+            if rng.random() >= 0.4:
                 slack = Fraction(rng.randint(1, 2 * max_value), rng.randint(1, 2))
-            entries[(i, j)] = TropScalar(base + slack)
-    return SymTropMatrix.from_upper_func(n, lambda i, j: entries[(i, j)])
+            upper.append((diag[i] + diag[j]) / 2 + slack)
+    return SymTropMatrix(n, upper)
 
 
 def random_clique_cover(G: PatternGraph, seed: int):

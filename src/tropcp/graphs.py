@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .analysis import require_normalized
-from .core import SymTropMatrix, TropScalar
+from .core import SymTropMatrix, scaled_rows
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,9 @@ class PatternGraph:
 
 def pattern_graph(A: SymTropMatrix) -> PatternGraph:
     """Edges at exactly the zero off-diagonal entries of A."""
-    zero = TropScalar(0)
+    rows = scaled_rows(A)[0]
     return PatternGraph(
-        A.n,
-        [
-            (i, j)
-            for i in range(A.n)
-            for j in range(i + 1, A.n)
-            if A[i, j] == zero
-        ],
+        A.n, [(i, j) for i, row in enumerate(rows) for j in range(i + 1, A.n) if row[j] == 0]
     )
 
 

@@ -65,6 +65,7 @@ from .core import (
     SymTropMatrix,
     TropScalar,
     TropVector,
+    on_grid,
     scaled_rows,
 )
 from .graphs import (
@@ -119,11 +120,11 @@ def solve_factor_system(system: FactorConstraintSystem) -> Optional[TropVector]:
     builds the same witness from it that the search builds at a found leaf.
     """
     constraints = system.equalities + system.inequalities
-    scale = math.lcm(1, *(c.denominator for _, _, c in constraints))
+    grid, scale = on_grid(c for _, _, c in constraints)
+    scaled = [(i, j, c) for (i, j, _), c in zip(constraints, grid)]
     # b_z = 0 and each equality are an upper and a lower bound
-    equalities = [(z, z, 0) for z in system.zeros]
-    equalities += [(i, j, int(c * scale)) for i, j, c in system.equalities]
-    lowers = equalities + [(i, j, int(c * scale)) for i, j, c in system.inequalities]
+    equalities = [(z, z, 0) for z in system.zeros] + scaled[: len(system.equalities)]
+    lowers = equalities + scaled[len(system.equalities) :]
     kernel = _Utvpi(system.n)
     for t in sorted(system.support):
         kernel.add_var(t, ())
@@ -699,9 +700,8 @@ def zero_one_rank(A: SymTropMatrix) -> int:
     share a factor with any other zero).  For the empty pattern this is n.
     """
     require_normalized(A)
-    zero, one = TropScalar(0), TropScalar(1)
     for i, j, v in A.upper_entries():
-        if i != j and v != zero and v != one:
+        if i != j and v not in (TropScalar(0), TropScalar(1)):
             raise ValueError(f"entry ({i + 1},{j + 1}) = {v} is not 0 or 1")
     G = pattern_graph(A)
     cc, _ = edge_clique_cover_number(G)

@@ -20,6 +20,7 @@ from .analysis import (
 )
 from .core import SymTropMatrix, TropVector, rank_one_product, verify_decomposition
 from .decompose import empty_pattern_01_decomposition
+from .generators import generate_instance
 from .graphs import (
     CliqueCover,
     PatternGraph,
@@ -131,8 +132,6 @@ def case_unit_empty_pattern() -> str:
 
 
 def case_path_family() -> str:
-    from .generators import generate_instance
-
     A = corpus.p3_matrix(5)
     rank, _ = cp_rank_exact(A)
     _check(rank == 2, f"rank {rank} != 2")
@@ -146,8 +145,6 @@ def case_path_family() -> str:
 
 
 def case_paw_family() -> str:
-    from .generators import generate_instance
-
     G = corpus.paw_graph()
     cc, _ = edge_clique_cover_number(G)
     _check(cc == 2, f"cc {cc} != 2")

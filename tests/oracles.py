@@ -17,7 +17,9 @@ that built the exact-rank search's leaf witnesses before the integer
 UTVPI kernel did.  The clique-partition references are the three
 separate recursions that `graphs.CliquePartitions` replaced, with their
 own clique lister, so the library's search is checked against code it
-does not call.
+does not call.  `reference_is_completely_positive`, `reference_normalize`,
+`reference_restore_matrix` and `reference_lift_factor` are the analysis
+layer's `TropScalar` versions, from before it moved onto the integer grid.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from tropcp import (
     INF,
     CliqueCover,
     FactorConstraintSystem,
+    NormalizationRecord,
+    NotCompletelyPositiveError,
     PatternGraph,
     SymTropMatrix,
     TropScalar,
@@ -553,4 +557,62 @@ def reference_solve_factor_system(system: FactorConstraintSystem) -> TropVector 
     for i, j, c in system.inequalities:
         if assignment[i] + assignment[j] < c:
             return None
+    return TropVector(entries)
+
+
+def reference_is_completely_positive(A: SymTropMatrix) -> bool:
+    """The CP check on `TropScalar` arithmetic: 2 * A[i,j] >= A[i,i] + A[j,j]."""
+    return not any(
+        A[i, j] * A[i, j] < A[i, i] * A[j, j]
+        for i in range(A.n)
+        for j in range(i + 1, A.n)
+    )
+
+
+def reference_normalize(A: SymTropMatrix) -> tuple[SymTropMatrix, NormalizationRecord]:
+    """`normalize` on `TropScalar` arithmetic: the same result and exceptions."""
+    if not reference_is_completely_positive(A):
+        raise NotCompletelyPositiveError("matrix is not completely positive")
+    deleted = tuple(i for i in range(A.n) if A[i, i].is_inf)
+    survivors = [i for i in range(A.n) if not A[i, i].is_inf]
+    if not survivors:
+        raise ValueError(
+            "every diagonal entry is infinite; the normalized matrix would be empty"
+        )
+    half = {i: A[i, i].finite / 2 for i in survivors}
+
+    def entry(p: int, q: int) -> TropScalar:
+        a = A[survivors[p], survivors[q]]
+        if a.is_inf:
+            return INF
+        return TropScalar(a.finite - half[survivors[p]] - half[survivors[q]])
+
+    C = SymTropMatrix.from_upper_func(len(survivors), entry)
+    return C, NormalizationRecord(A.n, deleted, tuple(half.items()))
+
+
+def reference_restore_matrix(record: NormalizationRecord, C: SymTropMatrix) -> SymTropMatrix:
+    """`record.restore_matrix(C)` on `TropScalar` arithmetic."""
+    shift = dict(record.shifts)
+    if C.n != len(shift):
+        raise ValueError("normalized matrix does not match this record")
+    pos = {orig: p for p, orig in enumerate(shift)}
+
+    def entry(i: int, j: int) -> TropScalar:
+        if i in pos and j in pos:
+            v = C[pos[i], pos[j]]
+            return INF if v.is_inf else TropScalar(v.finite + shift[i] + shift[j])
+        return INF
+
+    return SymTropMatrix.from_upper_func(record.n, entry)
+
+
+def reference_lift_factor(record: NormalizationRecord, c: TropVector) -> TropVector:
+    """`record.lift_factor(c)` on `TropScalar` arithmetic."""
+    shift = dict(record.shifts)
+    if len(c) != len(shift):
+        raise ValueError("factor length does not match this record")
+    entries: list[TropScalar] = [INF] * record.n
+    for v, orig in zip(c, shift):
+        entries[orig] = v if v.is_inf else TropScalar(v.finite + shift[orig])
     return TropVector(entries)

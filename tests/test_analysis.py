@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tropcp import (
     INF,
     Decomposition,
+    NormalizationRecord,
     NotCompletelyPositiveError,
     SymTropMatrix,
     TropScalar,
@@ -22,10 +23,17 @@ from tropcp import (
     support,
     trop_matrix_sum,
 )
+from tropcp.analysis import require_cp
 from tropcp.corpus import flat_3x3, flat_3x3_normalized, rank_one_shifted_3x3, rank_six_5x5
 from tropcp.generators import random_cp_matrix
 
-from oracles import reference_cp_rank_is_one
+from oracles import (
+    reference_cp_rank_is_one,
+    reference_is_completely_positive,
+    reference_lift_factor,
+    reference_normalize,
+    reference_restore_matrix,
+)
 
 small_scalars = st.one_of(
     st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4).map(
@@ -56,6 +64,129 @@ def cp_matrices(draw):
         rows[i][j] = rows[j][i] = rows[i][j] * raise_by
         A = SymTropMatrix.from_rows(rows)
     return A
+
+
+def _with_entry(A: SymTropMatrix, i: int, j: int, value) -> SymTropMatrix:
+    rows = A.rows()
+    rows[i][j] = rows[j][i] = TropScalar(value)
+    return SymTropMatrix.from_rows(rows)
+
+
+@st.composite
+def perturbed_matrices(draw):
+    """A `cp_matrices` draw with one entry replaced: CP or not."""
+    A = draw(cp_matrices())
+    i, j = draw(st.integers(0, A.n - 1)), draw(st.integers(0, A.n - 1))
+    return _with_entry(A, i, j, draw(small_scalars))
+
+
+@st.composite
+def non_cp_matrices(draw):
+    """A `cp_matrices` draw (n >= 2) with one off-diagonal entry below the CP
+    condition: under the diagonal average, or finite beside an inf diagonal."""
+    A = draw(cp_matrices().filter(lambda A: A.n >= 2))
+    pair = st.lists(st.integers(0, A.n - 1), min_size=2, max_size=2, unique=True)
+    i, j = draw(pair)
+    if A[i, i].is_inf or A[j, j].is_inf:
+        return _with_entry(A, i, j, draw(small_scalars.filter(lambda v: not v.is_inf)))
+    below = draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4))
+    return _with_entry(A, i, j, (A[i, i].finite + A[j, j].finite) / 2 - below)
+
+
+@st.composite
+def inf_diagonal_matrices(draw):
+    """A `cp_matrices` draw with some rows made all-inf (still CP), and
+    sometimes one finite entry put back into such a row (not CP)."""
+    A = draw(cp_matrices())
+    rows = A.rows()
+    cleared = draw(st.sets(st.integers(0, A.n - 1), min_size=1))
+    for k in cleared:
+        for t in range(A.n):
+            rows[k][t] = rows[t][k] = INF
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(sorted(cleared)))
+        t = draw(st.integers(0, A.n - 1))
+        rows[k][t] = rows[t][k] = draw(small_scalars.filter(lambda v: not v.is_inf))
+    return SymTropMatrix.from_rows(rows)
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:  # NotCompletelyPositiveError is one
+        return type(exc), str(exc)
+
+
+any_matrices = st.one_of(
+    cp_matrices(),
+    perturbed_matrices(),
+    non_cp_matrices(),
+    inf_diagonal_matrices(),
+    st.just(SymTropMatrix.filled(1, INF)),
+)
+
+
+class TestAgainstTheScalarReferences:
+    """The grid versions of the CP check, `normalize`, `restore_matrix` and
+    `lift_factor` against their `TropScalar` versions in `oracles`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_matrices)
+    def test_cp_check_and_normalize(self, A):
+        cp = reference_is_completely_positive(A)
+        assert is_completely_positive(A) == cp
+        assert _outcome(normalize, A) == _outcome(reference_normalize, A)
+        assert _outcome(require_cp, A) == (
+            None if cp else (NotCompletelyPositiveError, "matrix is not completely positive")
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(non_cp_matrices())
+    def test_non_cp_perturbations_are_rejected(self, A):
+        assert not is_completely_positive(A)
+        assert not reference_is_completely_positive(A)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inf_diagonal_matrices())
+    def test_inf_diagonal_rows(self, A):
+        # all-inf rows keep A CP; a finite entry in one makes it not CP
+        all_inf = all(
+            all(A[i, t].is_inf for t in range(A.n)) for i in range(A.n) if A[i, i].is_inf
+        )
+        assert is_completely_positive(A) == reference_is_completely_positive(A) == all_inf
+        assert _outcome(normalize, A) == _outcome(reference_normalize, A)
+
+    def test_one_by_one_inf(self):
+        A = SymTropMatrix.filled(1, INF)
+        assert is_completely_positive(A) and reference_is_completely_positive(A)
+        assert _outcome(normalize, A) == _outcome(reference_normalize, A)
+        assert _outcome(normalize, A)[0] is ValueError
+
+    @settings(max_examples=150, deadline=None)
+    @given(cp_matrices().filter(lambda A: any(not A[i, i].is_inf for i in range(A.n))), st.data())
+    def test_restore_and_lift(self, A, data):
+        C, record = normalize(A)
+        assert record.restore_matrix(C) == reference_restore_matrix(record, C) == A
+        # any matrix and vector of the record's size, and the record with its
+        # survivors in another order
+        m = C.n
+        size = m * (m + 1) // 2
+        D = SymTropMatrix(m, data.draw(st.lists(small_scalars, min_size=size, max_size=size)))
+        c = TropVector(data.draw(st.lists(small_scalars, min_size=m, max_size=m)))
+        shuffled = NormalizationRecord(
+            record.n, record.deleted, tuple(data.draw(st.permutations(record.shifts)))
+        )
+        for r in (record, shuffled):
+            assert r.restore_matrix(D) == reference_restore_matrix(r, D)
+            assert r.lift_factor(c) == reference_lift_factor(r, c)
+        wrong = TropVector([0] * (m + 1))
+        assert _outcome(record.lift_factor, wrong) == _outcome(
+            reference_lift_factor, record, wrong
+        )
+        assert _outcome(record.restore_matrix, SymTropMatrix.zeros(m + 1)) == _outcome(
+            reference_restore_matrix, record, SymTropMatrix.zeros(m + 1)
+        )
 
 
 class TestMembership:

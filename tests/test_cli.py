@@ -209,15 +209,15 @@ class TestNotCompletelyPositive:
     def test_one_cp_check_per_run(self, capsys, tmp_path, monkeypatch, command, cp):
         path = tmp_path / "a.tmat"
         path.write_text(render_matrix(paw_matrix(1, 2)) if cp else "2\n0 -1\n-1 0\n")
-        real = tropcp.analysis.is_completely_positive
+        # every CP check, `normalize`'s included, is one `_zero_diagonal` grid pass
+        real = tropcp.analysis._zero_diagonal
         calls = []
 
         def counting(A):
             calls.append(A)
             return real(A)
 
-        monkeypatch.setattr(tropcp.analysis, "is_completely_positive", counting)
-        monkeypatch.setattr(tropcp.cli, "is_completely_positive", counting)
+        monkeypatch.setattr(tropcp.analysis, "_zero_diagonal", counting)
         assert run(capsys, command, str(path))[0] == (0 if cp else 1)
         assert len(calls) == 1
 

@@ -105,6 +105,28 @@ class TestMatrix:
         with pytest.raises(TypeError, match="inexact float"):
             SymTropMatrix(2, [0, 0.5, 0])
 
+    @pytest.mark.parametrize(
+        "first_entry",
+        [
+            lambda e: SymTropMatrix(1, [e])[0, 0],
+            lambda e: SymTropMatrix.from_rows([[e]])[0, 0],
+            lambda e: SymTropMatrix.filled(1, e)[0, 0],
+            lambda e: TropVector([e])[0],
+        ],
+        ids=["init", "from_rows", "filled", "vector"],
+    )
+    def test_constructors_read_none_as_inf_and_reject_other_types(self, first_entry):
+        assert first_entry(None) == TropScalar(None) == INF
+        for bad in (object(), [0], b"0"):
+            with pytest.raises(TypeError, match="cannot interpret"):
+                first_entry(bad)
+
+    def test_operators_still_decline_other_types(self):
+        assert (TropScalar(0) == object()) is False
+        assert (TropScalar(0) == None) is False  # noqa: E711
+        with pytest.raises(TypeError):
+            TropScalar(0) + object()
+
     def test_asymmetric_rejected_with_location(self):
         with pytest.raises(ValueError, match=r"\(1,2\)"):
             SymTropMatrix.from_rows([[0, 1], [2, 0]])
