@@ -73,16 +73,20 @@ def require_cp(A: SymTropMatrix) -> None:
         raise NotCompletelyPositiveError("matrix is not completely positive")
 
 
-def is_normalized(A: SymTropMatrix) -> bool:
-    """Zero diagonal and nonnegative (or infinite) off-diagonal entries."""
+def is_normalized(A: SymTropMatrix, rows: Optional[list[list[Optional[int]]]] = None) -> bool:
+    """Zero diagonal and nonnegative (or infinite) off-diagonal entries.
+
+    `rows` are A's `scaled_rows` when the caller has them already."""
     return all(
         row[i] == 0 and all(v is None or v >= 0 for v in row)
-        for i, row in enumerate(scaled_rows(A)[0])
+        for i, row in enumerate(scaled_rows(A)[0] if rows is None else rows)
     )
 
 
-def require_normalized(A: SymTropMatrix) -> None:
-    if not is_normalized(A):
+def require_normalized(
+    A: SymTropMatrix, rows: Optional[list[list[Optional[int]]]] = None
+) -> None:
+    if not is_normalized(A, rows):
         raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
 
 

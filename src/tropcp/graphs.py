@@ -10,14 +10,13 @@ and every query and search here reads those masks.  A vertex clique cover
 
 One search, `CliquePartitions`, walks the partitions of the vertex set
 into cliques under part-count and bound limits.  It gives the exact
-minimum of this bound over all covers (`min_cover_bound`), the fewest
-cliques covering the vertices (`min_clique_cover_size`) and the zero-set
-skeletons of the exact-rank search.  `max_clique` gives the clique
-number that prunes it and the rank module's fooling sets, and an exact
-edge-clique-cover solver branches over maximal cliques held as edge
-bitmasks.  All are exponential, for desk-scale graphs; pruned by the
-least bound any completion can reach, the cover-bound search takes about
-a second on a dense n = 16 pattern.
+minimum of this bound over all covers (`min_cover_bound`) and the fewest
+cliques covering the vertices (`min_clique_cover_size`).  `max_clique`
+gives the clique number that prunes it and the rank module's fooling
+sets, and an exact edge-clique-cover solver branches over maximal
+cliques held as edge bitmasks.  All are exponential, for desk-scale
+graphs; pruned by the least bound any completion can reach, the
+cover-bound search takes about a second on a dense n = 16 pattern.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .analysis import require_normalized
 from .core import SymTropMatrix, scaled_rows
@@ -94,9 +93,12 @@ class PatternGraph:
         return len(self.neighbors(v))
 
 
-def pattern_graph(A: SymTropMatrix) -> PatternGraph:
-    """Edges at exactly the zero off-diagonal entries of A."""
-    rows = scaled_rows(A)[0]
+def pattern_graph(
+    A: SymTropMatrix, rows: Optional[list[list[Optional[int]]]] = None
+) -> PatternGraph:
+    """Edges at exactly the zero off-diagonal entries of A; `rows` are A's
+    `scaled_rows` when the caller has them already."""
+    rows = scaled_rows(A)[0] if rows is None else rows
     return PatternGraph(
         A.n, [(i, j) for i, row in enumerate(rows) for j in range(i + 1, A.n) if row[j] == 0]
     )
@@ -325,6 +327,7 @@ class CliquePartitions:
     """Iterating yields `(parts, bound)` for each partition of G's vertices
     into cliques, with its cover bound, in canonical order: lowest
     uncovered vertex first, its cliques largest first, then lexicographic.
+    It serves the two vertex-cover searches below, not the rank search.
 
     A child leaving `left` vertices uncovered needs ceil(left / omega) more
     parts, and no completion of it has a bound below its sum_i (i-1) q_i

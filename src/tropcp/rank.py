@@ -1,51 +1,41 @@
 """Exact CP-rank of small tropical matrices by complete search.
 
 Deciding whether a normalized CP matrix is a tropical sum of r rank-one
-outer products reduces to a finite search: every finite entry must be
-attained exactly by at least one summand, so each entry can be assigned a
-designated "achiever" factor.  Given an assignment, a factor only needs
-finite coordinates where its assigned entries touch it (infinity elsewhere
-relaxes everything), and its coordinate values form a small exact rational
-feasibility problem:
+outer products is a finite search: every finite entry, diagonal included,
+is attained exactly by at least one summand, so each can be assigned an
+"achiever" factor.  A factor needs finite coordinates only where its
+assigned entries touch it (infinity elsewhere relaxes everything), and
+its coordinate values form a small exact feasibility problem:
 
-    b_i + b_j  = a_ij   for each assigned entry,
+    b_i + b_j  = a_ij   for each assigned entry (b_z = 0 for a diagonal one),
     b_s + b_t >= a_st   for every finite entry inside the support,
-    b_t       >= 0      (diagonal domination; the diagonal is zero),
-    b_z        = 0      on the factor's designated zero set.
+    b_t       >= 0      (diagonal domination; the diagonal is zero).
 
 Every constraint has two unit coefficients, so the system is a UTVPI
 (octagon) system: it has a rational solution exactly when its doubled
-difference-constraint graph has no negative cycle.  The search scales the
-matrix by the lcm of its denominators once and keeps each factor's system
-in one incremental negative-cycle check on Python ints (`_FactorBuild`, a
-`_Utvpi`), which decides every search node.  At a found leaf `_witness`
-builds each factor's deterministic witness on that same kernel: shortest
-paths in the doubled graph give exact bounds for each coordinate, and the
-roots of the equality components are fixed one at a time at their least
-feasible values.
+difference-constraint graph has no negative cycle.  Each factor keeps one
+incremental negative-cycle check on Python ints over the matrix scaled by
+the lcm of its denominators (`_FactorBuild`, a `_Utvpi`).  It decides
+every search node, and at a found leaf `_witness` builds the factor's
+exact witness on it.
 
-Diagonal entries are assigned first as a "zero-set skeleton": one of the
-partitions of the vertices into at most r cliques of the pattern graph
-that `graphs.CliquePartitions` walks, one part per factor holding zeros.
-Branch and bound over skeletons and entry assignments is complete, so a
-fully exhausted search is a proof of CP-rank > r; resource-guard
-interruptions are reported as undetermined, never as refutation.
-
-The exact sweep starts at the larger of two lower bounds.
-`rank_lower_bound` is combinatorial (edge and vertex clique covers of the
-pattern graph).  `fooling_set_bound` counts pairwise conflicting entries:
-two finite entries conflict when no single factor attains both, decided
-in closed form on the system restricted to their (at most four)
-coordinates.  Dropping the other coordinates only relaxes the system, so
-a conflict found there is a conflict of the whole factor, and every r
-below the bound is refuted without a search.  On the 412 CP instances
-with a pinned rank in the benchmark catalogue the larger bound equals the
-rank on 411, and the serial sweep over all of them takes 2.4 s instead of
-7.2 s.
+Two finite entries conflict when no single factor attains both, decided
+in closed form on the system restricted to their at most four
+coordinates (`_conflict`); dropping the other coordinates only relaxes
+it, so such a conflict holds for the whole factor.  The largest set of
+pairwise conflicting entries is the fooling-set bound; it and the
+combinatorial `rank_lower_bound` (edge and vertex clique covers of the
+pattern graph) start the exact sweep, and every r below the larger one
+is refuted without a search.  The conflict graph also prunes the one
+search that assigns every finite entry (`_search`).  `cp_rank_exact` prepares the matrix once (`_Instance`).  The
+search is complete, so an exhausted search proves CP-rank > r; a resource
+guard that interrupts it is reported as undetermined, never as a
+refutation.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
@@ -69,7 +59,6 @@ from .core import (
     scaled_rows,
 )
 from .graphs import (
-    CliquePartitions,
     edge_clique_cover_number,
     max_clique,
     min_clique_cover_size,
@@ -305,6 +294,10 @@ class _Utvpi:
 
 @dataclass
 class SearchStats:
+    """Search counters.  `skeletons` is always 0: the search no longer walks
+    zero-set skeletons, and the field stays while the report's
+    `stats.skeletons` key does."""
+
     nodes: int = 0
     skeletons: int = 0
     refuted_branches: int = 0
@@ -369,40 +362,27 @@ class _Budget:
         self.nodes += 1
         if self.nodes > self.node_limit:
             raise _Guard
-        if self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 1024 == 1 and time.monotonic() > self.deadline:
             raise _Guard
-
-
-def _finite_offdiag_requirements(C: list[list[Optional[int]]]) -> list[tuple[int, int, int]]:
-    """The finite entries c = C[i][j] with i < j, as (i, j, c) in (c, i, j) order."""
-    n = len(C)
-    reqs = [(C[i][j], i, j) for i in range(n) for j in range(i + 1, n) if C[i][j] is not None]
-    return [(i, j, c) for c, i, j in sorted(reqs)]
 
 
 class _FactorBuild(_Utvpi):
     """One factor's system during the assignment search, on the scaled rows C.
 
-    The kernel holds b_t >= 0, b_s + b_t >= a_st and b_z = 0 for its
-    variables `vars` (the factor's finite coordinates) and b_i + b_j <= a_ij
-    for each entry in `assigned`, as (i, j, scaled value).  It decides
-    feasibility at every node and, at a found leaf, builds the factor's
-    witness.
+    The kernel holds b_t >= 0 and b_s + b_t >= a_st for its variables
+    `vars` (the factor's finite coordinates) and b_i + b_j <= a_ij for each
+    entry in `assigned`, as (i, j, scaled value); an assigned diagonal
+    entry (z, z, 0) makes b_z = 0.  It decides feasibility at every node
+    and, at a found leaf, builds the factor's witness.
     """
 
-    __slots__ = ("zeros", "assigned", "C", "_marks")
+    __slots__ = ("assigned", "C", "_marks")
 
-    def __init__(self, zeros: frozenset[int], C: list[list[Optional[int]]]):
+    def __init__(self, C: list[list[Optional[int]]]):
         super().__init__(len(C))
-        self.zeros = zeros
         self.assigned: list[tuple[int, int, int]] = []
         self.C = C
         self._marks: list[tuple[int, list[int], int]] = []
-        # b_z = 0: with the zero diagonal as its lower half; a zero set is a
-        # clique of zero entries, so this never fails
-        for z in sorted(zeros):
-            self._add_coordinate(z)
-            self.add_upper(z, z, 0)
 
     def _add_coordinate(self, t: int) -> bool:
         """Make b_t finite; False when an inf entry pairs it with the support."""
@@ -431,52 +411,125 @@ class _FactorBuild(_Utvpi):
         """The factor's exact witness (see `_witness`); it fixes coordinates
         in this kernel, so only `undo` may follow."""
         C, support = self.C, sorted(self.vars)
-        equalities = [(z, z, 0) for z in self.zeros] + self.assigned
         lowers = [(s, t, C[s][t]) for k, s in enumerate(support) for t in support[k:]]
-        return _witness(self, equalities, lowers, scale)
+        return _witness(self, self.assigned, lowers, scale)
 
 
-def _search_skeleton(
-    C: list[list[Optional[int]]],
-    scale: int,
-    r: int,
-    parts: Sequence[tuple[int, ...]],
-    reqs: Sequence[tuple[int, int, int]],
-    budget: _Budget,
-    stats: SearchStats,
-) -> Optional[list[TropVector]]:
-    """DFS over requirement assignments for one zero-set skeleton.
-
-    C is the matrix scaled by `scale`.  Returns the factors or None when
-    this skeleton is exhausted.  Raises _Guard on budget exhaustion.
+class _Instance:
+    """A normalized CP matrix A prepared once for the bounds and the search:
+    its grid C with `scale`, pattern graph G, finite entries (i <= j, in row
+    order), their conflict rows and fooling clique, the last two built on
+    first use.  The public bounds and `cp_rank_leq` take one in place of A.
     """
-    factors = [_FactorBuild(frozenset(p), C) for p in parts]
-    factors += [_FactorBuild(frozenset(), C) for _ in range(r - len(parts))]
-    n_fixed = len(parts)
 
-    def rec(depth: int) -> Optional[list[TropVector]]:
-        if depth == len(reqs):
-            out = [f.witness(scale) for f in factors if f.vars]
+    def __init__(self, A: SymTropMatrix):
+        C, _, self.scale = scaled_rows(A)
+        require_normalized(A, C)
+        self.A, self.C = A, C
+        self.G = pattern_graph(A, C)
+        self.entries = [(i, j) for i in range(A.n) for j in range(i, A.n) if C[i][j] is not None]
+        self._fooling: Optional[list[int]] = None
+
+    @functools.cached_property
+    def conflicts(self) -> list[int]:
+        return _conflict_rows(self.C, self.entries)
+
+    def fooling(self, deadline: float) -> list[int]:
+        """Indices into `entries` of a maximum clique of `conflicts`, or of the
+        largest found by the first call's deadline (`time.monotonic()`)."""
+        if self._fooling is None:
+            self._fooling = max_clique(self.conflicts, deadline)
+        return self._fooling
+
+
+def _prepared(A: SymTropMatrix | _Instance) -> _Instance:
+    return A if isinstance(A, _Instance) else _Instance(A)
+
+
+def _plus_one(planes: list[int], bits: int) -> list[int]:
+    """The bit-sliced counter `planes` (plane k holds bit k of each count)
+    with one added at every set bit of `bits`."""
+    if not bits:
+        return planes
+    out = planes[:]
+    for k, plane in enumerate(out):
+        out[k], bits = plane ^ bits, plane & bits
+        if not bits:
+            return out
+    out.append(bits)
+    return out
+
+
+def _search(
+    P: _Instance, r: int, budget: _Budget, stats: SearchStats
+) -> Optional[list[TropVector]]:
+    """DFS assigning every finite entry to a factor that attains it.
+
+    A factor's "blocked" mask holds the entries that conflict with one it
+    attains, and `planes` counts per entry the touched factors blocking it.
+    A node branches on an entry with the fewest admissible touched factors,
+    trying those and then the first untouched one.  Homeless entries, which
+    every touched factor blocks, close the node when a greedy clique of them
+    outnumbers the untouched factors.  Relabelling makes the lowest set bit
+    the tie-break: fooling-set entries, then higher conflict degree, then
+    lower index.  Returns the touched factors' witnesses or None; raises
+    _Guard when the budget runs out.
+    """
+    fooling, conflicts = set(P.fooling(budget.deadline)), P.conflicts
+    order = sorted(
+        range(len(conflicts)), key=lambda e: (e not in fooling, -conflicts[e].bit_count(), e)
+    )
+    label = {e: k for k, e in enumerate(order)}
+    adj = [sum(1 << label[f] for f in label if conflicts[e] >> f & 1) for e in order]
+    C = P.C
+    reqs = [(i, j, C[i][j]) for i, j in (P.entries[e] for e in order)]
+    factors = [_FactorBuild(C) for _ in range(r)]
+    blocked = [0] * r
+
+    def rec(unassigned: int, touched: int, planes: list[int]) -> Optional[list[TropVector]]:
+        if not unassigned:
+            out = [f.witness(P.scale) for f in factors[:touched]]
             if any(w is None for w in out):
                 raise AssertionError(
                     "factor system feasible in the search but its witness fails the recheck"
                 )
             return out
-        i, j, c = reqs[depth]
-        touched_spares = sum(1 for f in factors[n_fixed:] if f.vars)
-        limit = min(r, n_fixed + touched_spares + 1)
-        for f in factors[:limit]:
+        # the unassigned entries blocked by the most touched factors
+        worst, count = unassigned, 0
+        for k in range(len(planes) - 1, -1, -1):
+            if worst & planes[k]:
+                worst &= planes[k]
+                count |= 1 << k
+        if count == touched:  # worst holds every homeless entry
+            spare, size, clique = r - touched, 0, worst
+            while clique and size <= spare:
+                size += 1
+                clique &= adj[(clique & -clique).bit_length() - 1]
+            if size > spare:
+                return None
+        bit = worst & -worst
+        e = bit.bit_length() - 1
+        for f in range(min(touched + 1, r)):
+            if blocked[f] & bit:
+                continue
             budget.tick()
-            if f.push(i, j, c):
-                result = rec(depth + 1)
+            factor = factors[f]
+            if factor.push(*reqs[e]):
+                old = blocked[f]
+                blocked[f] = old | adj[e]
+                result = rec(
+                    unassigned ^ bit, max(touched, f + 1), _plus_one(planes, adj[e] & ~old)
+                )
                 if result is not None:
                     return result
+                blocked[f] = old
             else:
                 stats.refuted_branches += 1
-            f.pop()
+            factor.pop()
         return None
 
-    return rec(0)
+    budget.tick()  # the root
+    return rec((1 << len(reqs)) - 1, 0, [])
 
 
 def cp_rank_leq(
@@ -487,32 +540,24 @@ def cp_rank_leq(
 ) -> RankSearchOutcome:
     """Decide whether a normalized CP matrix has CP-rank at most r.
 
-    Returns a verified decomposition on success (padding factors that stay
-    all-infinite are dropped), a complete refutation after exhausting every
-    zero-set skeleton and assignment, or an undetermined report when the
-    node limit or timeout was hit first (the clock is read every 1,024
-    nodes).
-
-    Skeletons are searched in canonical order, and the search stops at the
-    first one that admits a decomposition.
+    Returns a verified decomposition on success (factors the search never
+    touched are dropped), a complete refutation after exhausting every
+    assignment, or an undetermined report when the node limit or timeout
+    (which covers building the conflict graph and fooling clique) was hit
+    first.  `nodes` counts the root and every push; the clock is read at
+    the root and every 1,024 nodes after it.
     """
-    require_normalized(A)
+    budget = _Budget(node_limit, timeout_s)
+    P = _prepared(A)
     if r < 1:
         raise ValueError("r must be >= 1")
-    G = pattern_graph(A)
-    C, _, scale = scaled_rows(A)
-    reqs = _finite_offdiag_requirements(C)
-    budget = _Budget(node_limit, timeout_s)
     stats = SearchStats()
     start = time.monotonic()
     status, dec = REFUTED, None
     try:
-        for parts, _ in CliquePartitions(G, max_parts=r):
-            stats.skeletons += 1
-            vectors = _search_skeleton(C, scale, r, parts, reqs, budget, stats)
-            if vectors is not None:
-                status, dec = FOUND, Decomposition(A, vectors)
-                break
+        vectors = _search(P, r, budget, stats)
+        if vectors is not None:
+            status, dec = FOUND, Decomposition(P.A, vectors)
     except _Guard:
         status = UNDETERMINED
     stats.nodes = budget.nodes
@@ -532,8 +577,7 @@ def rank_lower_bound(A: SymTropMatrix) -> int:
     cover: every factor's zero coordinates form a clique, and every vertex
     needs a zero somewhere.
     """
-    require_normalized(A)
-    G = pattern_graph(A)
+    G = _prepared(A).G
     cc, _ = edge_clique_cover_number(G)
     return max(cc, min_clique_cover_size(G), 1)
 
@@ -598,18 +642,21 @@ def fooling_set_bound(
     After `timeout_s` the clique search stops and the largest conflicting
     set found so far is returned: a smaller bound, but still a sound one.
     """
-    require_normalized(A)
     deadline = time.monotonic() + timeout_s
-    C = scaled_rows(A)[0]
-    entries = [(i, j) for i in range(A.n) for j in range(i, A.n) if C[i][j] is not None]
+    P = _prepared(A)
+    fooling = tuple(P.entries[v] for v in P.fooling(deadline))
+    return len(fooling), fooling
+
+
+def _conflict_rows(C: list[list[Optional[int]]], entries: Sequence[tuple[int, int]]) -> list[int]:
+    """The conflict graph on the finite entries, one bitmask row per entry."""
     adj = [0] * len(entries)
     for a, e in enumerate(entries):
         for b in range(a + 1, len(entries)):
             if _conflict(C, e, entries[b]):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    fooling = tuple(entries[v] for v in max_clique(adj, deadline))
-    return len(fooling), fooling
+    return adj
 
 
 def default_rank_cap(n: int) -> int:
@@ -634,9 +681,12 @@ def cp_rank_exact(
     `rank_lower_bound`; `refuted_by` says for each r whether the
     fooling-set bound or a complete search refuted it.
 
-    `timeout_s` and `node_limit` bound the whole call: the fooling-set
-    bound and each `cp_rank_leq(r)` get what is left of one deadline and
-    one node budget.  `threads` is accepted; the search runs serially.
+    The normalized matrix is prepared once (`_Instance`): its grid,
+    pattern graph, conflict graph and fooling clique serve both bounds and
+    every `cp_rank_leq(r)`.  `timeout_s` and `node_limit` bound the whole
+    call: the fooling clique and each `cp_rank_leq(r)` get what is left of
+    one deadline and one node budget.  `threads` is accepted; the search
+    runs serially.
     A negative `r_max` or `node_limit`, or a negative or NaN `timeout_s`,
     raises ValueError.
     """
@@ -656,14 +706,15 @@ def cp_rank_exact(
     if r_max is None:
         r_max = default_rank_cap(C.n)
     # every r below the fooling-set bound is refuted without a search
-    lower = rank_lower_bound(C)
-    fooling, _ = fooling_set_bound(C, timeout_s=deadline - time.monotonic())
+    P = _Instance(C)
+    lower = rank_lower_bound(P)
+    fooling = len(P.fooling(deadline))
     refuted = list(range(lower, min(fooling, r_max + 1)))
     refuted_by = ["bound"] * len(refuted)
     r = lower + len(refuted)
     while r <= r_max:
         outcome = cp_rank_leq(
-            C,
+            P,
             r,
             node_limit=node_limit - stats.nodes,
             timeout_s=deadline - time.monotonic(),
@@ -677,18 +728,14 @@ def cp_rank_exact(
                 "exact", r, lifted, tuple(refuted), None, stats, tuple(refuted_by)
             )
             return r, cert
-        if outcome.refuted:
-            refuted.append(r)
-            refuted_by.append("search")
-            r += 1
-            continue
-        cert = RankCertificate(
-            "undetermined", None, None, tuple(refuted), r, stats, tuple(refuted_by)
-        )
-        return None, cert
-    cert = RankCertificate(
-        "undetermined", None, None, tuple(refuted), r_max + 1, stats, tuple(refuted_by)
-    )
+        if not outcome.refuted:
+            break
+        refuted.append(r)
+        refuted_by.append("search")
+        r += 1
+    # a guard stopped the search at r, or the sweep passed r_max
+    at = min(r, r_max + 1)
+    cert = RankCertificate("undetermined", None, None, tuple(refuted), at, stats, tuple(refuted_by))
     return None, cert
 
 

@@ -115,7 +115,7 @@ def case_rank_six() -> str:
     _check(rank == 6, f"rank {rank} != 6")
     _check(verify_decomposition(cert.decomposition), "certificate must verify")
     _check(cp_rank_upper_bound(A) == 6, "cover bound should give 6")
-    return f"refuted at 5 ({at5.stats.nodes} nodes), certified at 6"
+    return f"refuted at 5 (search nodes: {at5.stats.nodes}), certified at 6"
 
 
 def case_unit_empty_pattern() -> str:

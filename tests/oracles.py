@@ -20,13 +20,18 @@ own clique lister, so the library's search is checked against code it
 does not call.  `reference_is_completely_positive`, `reference_normalize`,
 `reference_restore_matrix` and `reference_lift_factor` are the analysis
 layer's `TropScalar` versions, from before it moved onto the integer grid.
+`skeleton_cp_rank_leq` is the exact-rank search before it assigned every
+finite entry in one search: an outer walk over the zero-set skeletons of
+`graphs.CliquePartitions` and, inside each, a DFS over the off-diagonal
+entries in value order, on the library's factor kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from tropcp import (
     INF,
@@ -41,6 +46,21 @@ from tropcp import (
     cover_bound,
     is_exact_decomposition,
     ordered_cover_bound,
+)
+from tropcp.analysis import require_normalized
+from tropcp.core import Decomposition, scaled_rows
+from tropcp.graphs import CliquePartitions, pattern_graph
+from tropcp.rank import (
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_TIMEOUT_S,
+    FOUND,
+    REFUTED,
+    UNDETERMINED,
+    RankSearchOutcome,
+    SearchStats,
+    _Budget,
+    _FactorBuild,
+    _Guard,
 )
 
 
@@ -616,3 +636,90 @@ def reference_lift_factor(record: NormalizationRecord, c: TropVector) -> TropVec
     for v, orig in zip(c, shift):
         entries[orig] = v if v.is_inf else TropScalar(v.finite + shift[orig])
     return TropVector(entries)
+
+
+def _finite_offdiag_requirements(C: list[list[Optional[int]]]) -> list[tuple[int, int, int]]:
+    """The finite entries c = C[i][j] with i < j, as (i, j, c) in (c, i, j) order."""
+    n = len(C)
+    reqs = [(C[i][j], i, j) for i in range(n) for j in range(i + 1, n) if C[i][j] is not None]
+    return [(i, j, c) for c, i, j in sorted(reqs)]
+
+
+def _search_skeleton(
+    C: list[list[Optional[int]]],
+    scale: int,
+    r: int,
+    parts: Sequence[tuple[int, ...]],
+    reqs: Sequence[tuple[int, int, int]],
+    budget: _Budget,
+    stats: SearchStats,
+) -> Optional[list[TropVector]]:
+    """DFS over requirement assignments for one zero-set skeleton.
+
+    Factor k < len(parts) attains the diagonal zeros of parts[k].  Returns
+    the factors, or None when this skeleton is exhausted; raises _Guard on
+    budget exhaustion.
+    """
+    factors = []
+    for p in parts:
+        f = _FactorBuild(C)
+        for z in p:
+            if not f.push(z, z, 0):
+                raise AssertionError("a part is a clique of zero entries")
+        factors.append(f)
+    factors += [_FactorBuild(C) for _ in range(r - len(parts))]
+    n_fixed = len(parts)
+
+    def rec(depth: int) -> Optional[list[TropVector]]:
+        if depth == len(reqs):
+            out = [f.witness(scale) for f in factors if f.vars]
+            assert all(w is not None for w in out)
+            return out
+        i, j, c = reqs[depth]
+        touched_spares = sum(1 for f in factors[n_fixed:] if f.vars)
+        limit = min(r, n_fixed + touched_spares + 1)
+        for f in factors[:limit]:
+            budget.tick()
+            if f.push(i, j, c):
+                result = rec(depth + 1)
+                if result is not None:
+                    return result
+            else:
+                stats.refuted_branches += 1
+            f.pop()
+        return None
+
+    return rec(0)
+
+
+def skeleton_cp_rank_leq(
+    A: SymTropMatrix,
+    r: int,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
+) -> RankSearchOutcome:
+    """`cp_rank_leq` by the skeleton walk: each partition of the vertices
+    into at most r cliques of the pattern graph, in canonical order, fixes
+    the factors holding the diagonal zeros, and the off-diagonal entries
+    are searched under it; `stats.skeletons` counts the partitions tried."""
+    require_normalized(A)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    C, _, scale = scaled_rows(A)
+    reqs = _finite_offdiag_requirements(C)
+    budget = _Budget(node_limit, timeout_s)
+    stats = SearchStats()
+    start = time.monotonic()
+    status, dec = REFUTED, None
+    try:
+        for parts, _ in CliquePartitions(pattern_graph(A), max_parts=r):
+            stats.skeletons += 1
+            vectors = _search_skeleton(C, scale, r, parts, reqs, budget, stats)
+            if vectors is not None:
+                status, dec = FOUND, Decomposition(A, vectors)
+                break
+    except _Guard:
+        status = UNDETERMINED
+    stats.nodes = budget.nodes
+    stats.wall_time = time.monotonic() - start
+    return RankSearchOutcome(status, r, dec, stats)

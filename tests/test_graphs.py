@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tropcp.graphs as graphs_mod
-import tropcp.rank as rank_mod
 from tropcp import (
     CliqueCover,
     EdgeCliqueCover,
     PatternGraph,
     SymTropMatrix,
     cover_bound,
-    cp_rank_leq,
     cp_rank_upper_bound,
     diameter,
     diameter_witness_matrix,
@@ -42,6 +40,7 @@ from tropcp.analysis import normalize
 from tropcp.generators import random_cp_matrix, random_pattern_graph
 from tropcp.graphs import CliquePartitions, completion_bound, cover_bound_terms, max_clique
 
+import oracles
 from oracles import (
     all_cliques,
     brute_edge_clique_cover,
@@ -290,19 +289,19 @@ class TestMinCoverBound:
 
 
 def skeletons_searched(monkeypatch, G, r):
-    """The zero-set skeletons `cp_rank_leq` tries, in order, on a matrix
-    with pattern G when no skeleton admits a decomposition."""
+    """The zero-set skeletons the reference `skeleton_cp_rank_leq` tries, in
+    order, on a matrix with pattern G when no skeleton admits a decomposition."""
     tried = []
 
     def record(C, scale, r, parts, reqs, budget, stats):
         tried.append(tuple(parts))
         return None
 
-    monkeypatch.setattr(rank_mod, "_search_skeleton", record)
+    monkeypatch.setattr(oracles, "_search_skeleton", record)
     A = SymTropMatrix.from_upper_func(
         G.n, lambda i, j: 0 if i == j or G.has_edge(i, j) else 1
     )
-    assert cp_rank_leq(A, r).status == "refuted"
+    assert oracles.skeleton_cp_rank_leq(A, r).status == "refuted"
     return tried
 
 

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tropcp.analysis as analysis_mod
+import tropcp.graphs as graphs_mod
+import tropcp.rank as rank_mod
 from tropcp import (
     INF,
     FactorConstraintSystem,
@@ -35,19 +38,23 @@ from tropcp.corpus import (
     star6_matrix,
 )
 from tropcp.core import scaled_rows
-from tropcp.generators import generate_instance, random_pattern_graph
+from tropcp.generators import generate_instance, random_cp_matrix, random_pattern_graph
 from tropcp.rank import (
     SearchStats,
     _Budget,
     _conflict,
     _FactorBuild,
-    _finite_offdiag_requirements,
     _Guard,
-    _search_skeleton,
     _Utvpi,
 )
 
-from oracles import brute_cp_rank, reference_solve_factor_system
+from oracles import (
+    _finite_offdiag_requirements,
+    _search_skeleton,
+    brute_cp_rank,
+    reference_solve_factor_system,
+    skeleton_cp_rank_leq,
+)
 
 
 class TestFactorSolver:
@@ -279,7 +286,9 @@ class TestIntegerKernel:
         A, zeros, order = run
         scale = 6  # lcm of the denominators 1..3
         C = [[None if v.is_inf else int(v.finite * scale) for v in row] for row in A.rows()]
-        f = _FactorBuild(zeros, C)
+        f = _FactorBuild(C)
+        for z in sorted(zeros):
+            assert f.push(z, z, 0)  # b_z = 0 on a clique of zeros
         support, equalities = set(zeros), []
         for i, j in order:
             value = A[i, j].finite
@@ -491,31 +500,36 @@ class TestFoolingSetBound:
         )
 
     def test_guard_after_the_bound_keeps_its_refutations(self):
-        rank, cert = cp_rank_exact(n7_p03_349(), node_limit=100)
-        assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 6)
-        assert (cert.refuted, cert.refuted_by) == ((5,), ("bound",))
+        # the bound refutes r = 16; finding rank 17 takes 107 nodes
+        A = generate_instance(random_pattern_graph(14, 1, 0.5), 101)
+        rank, cert = cp_rank_exact(A, node_limit=100)
+        assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 17)
+        assert (cert.refuted, cert.refuted_by) == ((16,), ("bound",))
 
 
 class TestSearchCounters:
-    """Counters and certificates of the exact search, pinned from the Fraction FM search."""
+    """Counters and certificates of the assignment search over every finite entry.
+
+    `nodes` counts each search's root and every push; `skeletons` is always 0.
+    """
 
     @pytest.mark.parametrize(
         "make, rank, refuted, nodes, skeletons, refuted_branches",
         [
-            pytest.param(rank_six_5x5, 6, (5,), 111, 2, 85, id="rank_six_5x5"),
+            pytest.param(rank_six_5x5, 6, (5,), 17, 0, 0, id="rank_six_5x5"),
             pytest.param(
                 lambda: generate_instance(random_pattern_graph(6, 342, 0.5), 1342),
-                5, (3, 4), 204, 8, 153, id="n6_p05_342",
+                5, (3, 4), 24, 0, 0, id="n6_p05_342",
             ),
             pytest.param(
                 lambda: generate_instance(random_pattern_graph(6, 476, 0.3), 1476),
-                6, (4, 5), 220, 6, 173, id="n6_p03_476",
+                6, (4, 5), 24, 0, 0, id="n6_p03_476",
             ),
             pytest.param(
                 lambda: generate_instance(
                     random_pattern_graph(5, 1020, 0.3), 2520, inf_probability=0.7
                 ),
-                5, (3, 4), 90, 6, 71, id="n5_inf_1020",
+                5, (3, 4), 12, 0, 0, id="n5_inf_1020",
             ),
         ],
     )
@@ -536,22 +550,22 @@ class TestSearchCounters:
     @pytest.mark.parametrize(
         "make, refuted_by, nodes, skeletons, refuted_branches",
         [
-            pytest.param(rank_six_5x5, ("bound",), 26, 1, 16, id="rank_six_5x5"),
+            pytest.param(rank_six_5x5, ("bound",), 16, 0, 0, id="rank_six_5x5"),
             pytest.param(
                 lambda: generate_instance(random_pattern_graph(6, 342, 0.5), 1342),
-                ("bound", "bound"), 33, 1, 18, id="n6_p05_342",
+                ("bound", "bound"), 22, 0, 0, id="n6_p05_342",
             ),
             pytest.param(
                 lambda: generate_instance(random_pattern_graph(6, 476, 0.3), 1476),
-                ("bound", "bound"), 38, 1, 23, id="n6_p03_476",
+                ("bound", "bound"), 22, 0, 0, id="n6_p03_476",
             ),
             pytest.param(
                 lambda: generate_instance(
                     random_pattern_graph(5, 1020, 0.3), 2520, inf_probability=0.7
                 ),
-                ("bound", "bound"), 12, 1, 8, id="n5_inf_1020",
+                ("bound", "bound"), 10, 0, 0, id="n5_inf_1020",
             ),
-            pytest.param(n7_p03_349, ("bound", "search"), 2143, 11, 1786, id="n7_p03_349"),
+            pytest.param(n7_p03_349, ("bound", "search"), 41, 0, 0, id="n7_p03_349"),
         ],
     )
     def test_default_sweep_counters_pinned(
@@ -571,11 +585,11 @@ class TestSearchCounters:
         _, cert = cp_rank_exact(rank_six_5x5())
         assert [[str(e) for e in f] for f in cert.decomposition.factors] == [
             ["0", "1", "2", "3", "3"],
-            ["inf", "0", "inf", "1", "2"],
             ["1", "inf", "0", "inf", "inf"],
-            ["inf", "inf", "1", "0", "inf"],
-            ["inf", "1", "inf", "inf", "0"],
-            ["inf", "inf", "0", "inf", "1"],
+            ["inf", "1", "inf", "0", "3"],
+            ["inf", "0", "inf", "inf", "1"],
+            ["inf", "inf", "0", "1", "inf"],
+            ["inf", "inf", "1", "inf", "0"],
         ]
 
     def test_fractional_scale_certificates_pinned(self):
@@ -588,14 +602,124 @@ class TestSearchCounters:
         rank, cert = cp_rank_exact(n7_p03_349())
         assert rank == 7
         assert [[str(e) for e in f] for f in cert.decomposition.factors] == [
-            ["0", "1/2", "5/2", "4", "1", "4", "2"],
-            ["inf", "0", "4", "inf", "0", "1", "2"],
-            ["inf", "5/3", "0", "0", "inf", "inf", "inf"],
-            ["inf", "0", "inf", "inf", "inf", "0", "2/3"],
-            ["inf", "0", "4", "inf", "inf", "inf", "0"],
-            ["inf", "1", "0", "inf", "0", "inf", "inf"],
+            ["5/2", "5/3", "0", "0", "5", "5", "6"],
+            ["inf", "1", "0", "inf", "0", "inf", "4"],
+            ["10/3", "0", "inf", "inf", "2", "2/3", "0"],
             ["3/2", "inf", "inf", "0", "inf", "5/2", "inf"],
+            ["inf", "0", "inf", "inf", "1", "0", "inf"],
+            ["0", "1/2", "inf", "inf", "1", "inf", "2"],
+            ["inf", "0", "inf", "inf", "0", "inf", "inf"],
         ]
+
+
+class TestAgainstSkeletonSearch:
+    """The assignment search against the reference skeleton walk it replaced."""
+
+    def test_found_and_refuted_agree_on_seeded_inputs(self):
+        # every r from the lower bound to the rank, on n = 4-7; the reference
+        # counts as settled when it ends under its node limit
+        verdicts = {"found": 0, "refuted": 0, "unsettled": 0}
+        for seed in range(200):
+            n = 4 + seed % 4
+            if seed % 3 == 0:
+                A, _ = normalize(random_cp_matrix(n, seed))
+            else:
+                A = generate_instance(
+                    random_pattern_graph(n, seed, 0.2 + 0.1 * (seed % 4)),
+                    1000 + seed,
+                    max_numerator=3,
+                    max_denominator=1,
+                    inf_probability=0.3 * (seed % 2),
+                )
+            rank, cert = cp_rank_exact(A)
+            assert cert.status == "exact"
+            for r in range(rank_lower_bound(A), rank + 1):
+                got = cp_rank_leq(A, r)
+                assert got.status == ("found" if r == rank else "refuted")
+                if got.found:
+                    assert verify_decomposition(got.decomposition)
+                    assert got.decomposition.rank <= r
+                reference = skeleton_cp_rank_leq(A, r, node_limit=5_000)
+                if reference.status == "undetermined":
+                    verdicts["unsettled"] += 1
+                else:
+                    assert reference.status == got.status, (seed, r)
+                    verdicts[got.status] += 1
+        assert verdicts == {"found": 198, "refuted": 96, "unsettled": 22}
+
+
+# n, p, s of the probe generate_instance(random_pattern_graph(n, s, p), 100 + s),
+# its rank and how many r the fooling-set bound refutes
+FRONTIER_PROBES = [
+    (9, 0.5, 2, 9, 1),
+    (10, 0.3, 1, 9, 2),
+    (10, 0.5, 1, 8, 0),
+    (11, 0.3, 3, 17, 8),
+    (11, 0.3, 4, 13, 2),
+    (11, 0.5, 1, 11, 1),
+]
+
+
+class TestFrontier:
+    @pytest.mark.parametrize(
+        "n, p, s, rank, by_bound",
+        [pytest.param(*probe, id=f"{probe[0]}/{probe[1]}/{probe[2]}") for probe in FRONTIER_PROBES],
+    )
+    def test_probe_is_exact(self, n, p, s, rank, by_bound):
+        # the skeleton walk left each of these undetermined after 3 s
+        A = generate_instance(random_pattern_graph(n, s, p), 100 + s)
+        got, cert = cp_rank_exact(A, node_limit=2_000)
+        assert (got, cert.status) == (rank, "exact")
+        assert cert.refuted_by == ("bound",) * by_bound
+        # the larger lower bound and a verified decomposition certify the rank
+        assert max(rank_lower_bound(A), fooling_set_bound(A)[0]) == rank
+        assert verify_decomposition(cert.decomposition)
+        assert cert.decomposition.rank == rank
+
+
+class TestPreparedInstance:
+    def test_one_grid_pattern_graph_and_conflict_graph_per_exact_call(self, monkeypatch):
+        # the certificate's verifier makes its own pass in tropcp.core, which
+        # is not counted here
+        calls = {"normalize": [], "grid": [], "pattern_graph": 0, "conflicts": 0, "check": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def normalize_recorded(A):
+            out = normalize(A)
+            calls["normalize"].append(out[0])
+            return out
+
+        def grid_recorded(A, *args):
+            calls["grid"].append(A)
+            return scaled_rows(A, *args)
+
+        monkeypatch.setattr(rank_mod, "normalize", normalize_recorded)
+        for mod in (rank_mod, graphs_mod, analysis_mod):
+            monkeypatch.setattr(mod, "scaled_rows", grid_recorded)
+        monkeypatch.setattr(rank_mod, "pattern_graph", counting("pattern_graph", pattern_graph))
+        monkeypatch.setattr(
+            rank_mod, "_conflict_rows", counting("conflicts", rank_mod._conflict_rows)
+        )
+        monkeypatch.setattr(
+            rank_mod, "require_normalized", counting("check", rank_mod.require_normalized)
+        )
+        for A, rank in (
+            (paw_matrix(1, 2), 2),
+            (star6_matrix(), 6),
+            (rank_six_5x5(), 6),
+            (n7_p03_349(), 7),
+        ):
+            calls.update(normalize=[], grid=[], pattern_graph=0, conflicts=0, check=0)
+            assert cp_rank_exact(A)[0] == rank
+            (C,) = calls["normalize"]
+            assert sum(M is C for M in calls["grid"]) == 1
+            assert (calls["pattern_graph"], calls["conflicts"], calls["check"]) == (1, 1, 1)
 
 
 class TestBounds:
@@ -632,7 +756,8 @@ class TestRankDecision:
         assert verify_decomposition(out.decomposition)
 
     def test_undetermined_under_node_limit(self):
-        out = cp_rank_leq(rank_six_5x5(), 5, node_limit=3)
+        # refuting r = 6 takes 12 nodes
+        out = cp_rank_leq(n7_p03_349(), 6, node_limit=3)
         assert out.status == "undetermined"
         assert out.decomposition is None
 
@@ -651,7 +776,7 @@ class TestRankDecision:
 
 
 def search_anchor_skeleton(budget):
-    """The serial search of one skeleton of the n = 7 anchor at r = 8 (1094 nodes)."""
+    """The reference search of one skeleton of the n = 7 anchor at r = 8 (1094 nodes)."""
     A = generate_instance(random_pattern_graph(7, 2, 0.3), 102)
     parts = ((0, 3), (1,), (2,), (4, 6), (5,))
     C, _, scale = scaled_rows(A)
@@ -693,14 +818,14 @@ class TestGuards:
             assert all(_conflict(C, e, f) for e, f in itertools.combinations(entries, 2))
 
     def test_exact_sweep_shares_one_node_limit(self):
-        # r = 6 is refuted in 2,064 nodes and r = 7 found in 79: each fits the
+        # r = 6 is refuted in 12 nodes and r = 7 found in 29: each fits the
         # limit alone, but the sweep has one budget for both
         A = n7_p03_349()
-        assert [cp_rank_leq(A, r).stats.nodes for r in (6, 7)] == [2064, 79]
-        rank, cert = cp_rank_exact(A, node_limit=2100)
+        assert [cp_rank_leq(A, r).stats.nodes for r in (6, 7)] == [12, 29]
+        rank, cert = cp_rank_exact(A, node_limit=30)
         assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 7)
         assert cert.refuted_by == ("bound", "search")
-        assert cert.stats.nodes == 2100 + 1  # the guard counts the node it stops at
+        assert cert.stats.nodes == 30 + 1  # the guard counts the node it stops at
 
 
 class TestExactRank:
