@@ -7,8 +7,8 @@ changing its CP-rank; the shift data is kept in a NormalizationRecord so
 the transform is exactly invertible.
 
 All of it computes on the integer grid of `core.scaled_rows`; one pass,
-`_zero_diagonal`, serves the CP check, `normalize` and the rank-one test.
-`TropScalar`s are built only for the matrices and vectors returned.
+`_zero_diagonal`, serves the CP check, `normalize`, the rank-one test and
+`rank._Instance`.  `TropScalar`s are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -73,20 +73,14 @@ def require_cp(A: SymTropMatrix) -> None:
         raise NotCompletelyPositiveError("matrix is not completely positive")
 
 
-def is_normalized(A: SymTropMatrix, rows: Optional[list[list[Optional[int]]]] = None) -> bool:
-    """Zero diagonal and nonnegative (or infinite) off-diagonal entries.
-
-    `rows` are A's `scaled_rows` when the caller has them already."""
-    return all(
-        row[i] == 0 and all(v is None or v >= 0 for v in row)
-        for i, row in enumerate(scaled_rows(A)[0] if rows is None else rows)
-    )
+def is_normalized(A: SymTropMatrix) -> bool:
+    """Zero diagonal and nonnegative (or infinite) off-diagonal entries."""
+    rows = scaled_rows(A)[0]
+    return all(row[i] == 0 and all(v is None or v >= 0 for v in row) for i, row in enumerate(rows))
 
 
-def require_normalized(
-    A: SymTropMatrix, rows: Optional[list[list[Optional[int]]]] = None
-) -> None:
-    if not is_normalized(A, rows):
+def require_normalized(A: SymTropMatrix) -> None:
+    if not is_normalized(A):
         raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
 
 

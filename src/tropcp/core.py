@@ -22,6 +22,8 @@ Rationalish = Union["TropScalar", Fraction, int, str, float]
 
 def _parse_value(value: Rationalish) -> Fraction | None:
     """Normalize a user-supplied value to Fraction, or None for infinity."""
+    if type(value) is Fraction:  # exact already; a subclass is copied below
+        return value
     if isinstance(value, TropScalar):
         return value._v
     if value is None:

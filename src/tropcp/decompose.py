@@ -312,11 +312,11 @@ def decompose_cp_detailed(
 
     The partition is that of the normalized matrix, numbered as its rows:
     the input's rows with an infinite diagonal are gone.  Lifting keeps the
-    factor count, so the counts sum to the rank.
+    factor count, so the counts sum to the rank; the lift is verified on A.
     """
-    from .analysis import lift_decomposition, normalize
+    from .analysis import normalize
 
     C, record = normalize(A)
     cover, _ = min_cover_bound(pattern_graph(C))
     dec, details = construct_decomposition_detailed(C, cover)
-    return lift_decomposition(dec, record), details
+    return Decomposition(A, record._lift(dec.factors)), details

@@ -23,7 +23,7 @@ def _parse_token(token: str, where: str) -> TropScalar:
     if token == "inf":
         return TropScalar("inf")
     try:
-        return TropScalar(Fraction(token))
+        return TropScalar(int(token) if token.isascii() and token.isdigit() else Fraction(token))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad token {token!r} at {where}") from None
 

@@ -93,15 +93,12 @@ class PatternGraph:
         return len(self.neighbors(v))
 
 
-def pattern_graph(
-    A: SymTropMatrix, rows: Optional[list[list[Optional[int]]]] = None
-) -> PatternGraph:
-    """Edges at exactly the zero off-diagonal entries of A; `rows` are A's
-    `scaled_rows` when the caller has them already."""
-    rows = scaled_rows(A)[0] if rows is None else rows
-    return PatternGraph(
-        A.n, [(i, j) for i, row in enumerate(rows) for j in range(i + 1, A.n) if row[j] == 0]
-    )
+def pattern_graph(A: SymTropMatrix | Sequence[Sequence[Optional[int]]]) -> PatternGraph:
+    """Edges at exactly the zero off-diagonal entries of A, a matrix or its
+    rows on an integer grid (`scaled_rows`, None for inf)."""
+    rows = scaled_rows(A)[0] if isinstance(A, SymTropMatrix) else A
+    edges = [(i, j) for i, row in enumerate(rows) for j in range(i + 1, len(row)) if row[j] == 0]
+    return PatternGraph(len(rows), edges)
 
 
 def _distances(masks: Sequence[int], src: int) -> dict[int, int]:

@@ -14,10 +14,9 @@ its coordinate values form a small exact feasibility problem:
 Every constraint has two unit coefficients, so the system is a UTVPI
 (octagon) system: it has a rational solution exactly when its doubled
 difference-constraint graph has no negative cycle.  Each factor keeps one
-incremental negative-cycle check on Python ints over the matrix scaled by
-the lcm of its denominators (`_FactorBuild`, a `_Utvpi`).  It decides
-every search node, and at a found leaf `_witness` builds the factor's
-exact witness on it.
+incremental negative-cycle check on Python ints over the normalized grid
+(`_FactorBuild`, a `_Utvpi`); it decides every search node, and at a found
+leaf `_witness` builds twice the factor's exact witness on that grid.
 
 Two finite entries conflict when no single factor attains both, decided
 in closed form on the system restricted to their at most four
@@ -27,10 +26,14 @@ pairwise conflicting entries is the fooling-set bound; it and the
 combinatorial `rank_lower_bound` (edge and vertex clique covers of the
 pattern graph) start the exact sweep, and every r below the larger one
 is refuted without a search.  The conflict graph also prunes the one
-search that assigns every finite entry (`_search`).  `cp_rank_exact` prepares the matrix once (`_Instance`).  The
+search that assigns every finite entry (`_search`).
+
+`cp_rank_exact` prepares the input once (`_Instance`, from its one
+`analysis._zero_diagonal` pass): the normalized grid, which keeps the
+CP-rank, and the lift, which turns the integer witnesses into factors of
+the input; the certificate is verified once, against the input.  The
 search is complete, so an exhausted search proves CP-rank > r; a resource
-guard that interrupts it is reported as undetermined, never as a
-refutation.
+guard that interrupts it is reported as undetermined, never as a refutation.
 """
 
 from __future__ import annotations
@@ -43,21 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .analysis import (
-    is_completely_positive,
-    normalize,
-    lift_decomposition,
-    require_normalized,
-)
-from .core import (
-    INF,
-    Decomposition,
-    SymTropMatrix,
-    TropScalar,
-    TropVector,
-    on_grid,
-    scaled_rows,
-)
+# unused here but kept: perfbench/layers.py patches them on this module to time spans
+from .analysis import _zero_diagonal, is_completely_positive, lift_decomposition, normalize  # noqa
+from .core import Decomposition, SymTropMatrix, TropScalar, TropVector, on_grid
 from .graphs import (
     edge_clique_cover_number,
     max_clique,
@@ -121,28 +112,30 @@ def solve_factor_system(system: FactorConstraintSystem) -> Optional[TropVector]:
         kernel.add_lower(*l) for l in lowers
     ):
         return None
-    return _witness(kernel, equalities, lowers, scale)
+    x2 = _witness(kernel, equalities, lowers)
+    if x2 is None:
+        return None
+    return TropVector(None if v is None else Fraction(v, 2 * scale) for v in x2)
 
 
 def _witness(
     kernel: _Utvpi,
     equalities: Sequence[tuple[int, int, int]],
     lowers: Sequence[tuple[int, int, int]],
-    scale: int,
-) -> Optional[TropVector]:
-    """The deterministic witness of a feasible kernel; None when its recheck fails.
+) -> Optional[list[Optional[int]]]:
+    """Twice the deterministic witness of a feasible kernel, on its integer
+    grid; None when its recheck fails.
 
     `equalities` are the kernel's x_i + x_j = c as (i, j, c) in order, with
-    b_z = 0 as (z, z, 0), and `lowers` its x_i + x_j >= c, all on the
-    matrix scaled by `scale`.  The roots of the equality components (the
-    first coordinate of each equality absorbs the second's component) are
-    fixed in the kernel from the largest index down, each at its least
-    feasible value given the roots fixed before it, or at min(upper bound,
-    0) when it has no lower bound; every other coordinate then follows
-    from its component.  The shortest-path bounds are exact over the
-    rationals, so this is the point that eliminating the roots in
-    ascending order and substituting back picks.  The witness extends to
-    infinity outside the kernel's variables.
+    b_z = 0 as (z, z, 0), and `lowers` its x_i + x_j >= c.  The roots of
+    the equality components (the first coordinate of each equality absorbs
+    the second's component) are fixed in the kernel from the largest index
+    down, each at its least feasible value given the roots fixed before it,
+    or at min(upper bound, 0) when it has no lower bound; every other
+    coordinate then follows from its component.  The shortest-path bounds
+    are exact over the rationals, so this is the point that eliminating the
+    roots in ascending order and substituting back picks.  The witness is
+    infinite (None) outside the kernel's variables.
     """
     parent = {t: t for t in kernel.vars}
 
@@ -173,8 +166,7 @@ def _witness(
         x2[i] + x2[j] < 2 * c for i, j, c in lowers
     ):
         return None
-    n = len(dist) // 2
-    return TropVector([Fraction(x2[t], 2 * scale) if t in x2 else INF for t in range(n)])
+    return [x2.get(t) for t in range(len(dist) // 2)]
 
 
 class _Utvpi:
@@ -367,7 +359,7 @@ class _Budget:
 
 
 class _FactorBuild(_Utvpi):
-    """One factor's system during the assignment search, on the scaled rows C.
+    """One factor's system during the assignment search, on the grid rows C.
 
     The kernel holds b_t >= 0 and b_s + b_t >= a_st for its variables
     `vars` (the factor's finite coordinates) and b_i + b_j <= a_ij for each
@@ -407,27 +399,33 @@ class _FactorBuild(_Utvpi):
         self.undo(self._marks.pop())
         self.assigned.pop()
 
-    def witness(self, scale: int) -> Optional[TropVector]:
-        """The factor's exact witness (see `_witness`); it fixes coordinates
-        in this kernel, so only `undo` may follow."""
+    def witness(self) -> Optional[list[Optional[int]]]:
+        """Twice the factor's exact witness on C's grid (see `_witness`); it
+        fixes coordinates in this kernel, so only `undo` may follow."""
         C, support = self.C, sorted(self.vars)
         lowers = [(s, t, C[s][t]) for k, s in enumerate(support) for t in support[k:]]
-        return _witness(self, self.assigned, lowers, scale)
+        return _witness(self, self.assigned, lowers)
 
 
 class _Instance:
-    """A normalized CP matrix A prepared once for the bounds and the search:
-    its grid C with `scale`, pattern graph G, finite entries (i <= j, in row
-    order), their conflict rows and fooling clique, the last two built on
-    first use.  The public bounds and `cp_rank_leq` take one in place of A.
+    """A CP matrix A prepared once from its `analysis._zero_diagonal` pass:
+    the normalized matrix (it keeps A's CP-rank) as grid rows C with
+    C / `scale` its entries, and the lift to A, `lift` (each row of A with a
+    finite diagonal, and that diagonal times scale / 2), the identity when A
+    is normalized.  Also C's pattern graph G and finite entries (i <= j),
+    their conflict rows and fooling clique (built on first use).  The public
+    bounds and `cp_rank_leq` take one in place of A.
     """
 
-    def __init__(self, A: SymTropMatrix):
-        C, _, self.scale = scaled_rows(A)
-        require_normalized(A, C)
-        self.A, self.C = A, C
-        self.G = pattern_graph(A, C)
-        self.entries = [(i, j) for i in range(A.n) for j in range(i, A.n) if C[i][j] is not None]
+    def __init__(self, A: SymTropMatrix, zero_diagonal) -> None:
+        upper, self.lift, scale = zero_diagonal
+        m, stored = len(self.lift), iter(upper)
+        C: list[list[Optional[int]]] = []
+        for p in range(m):
+            C.append([row[p] for row in C] + [next(stored) for _ in range(p, m)])
+        self.A, self.C, self.scale = A, C, 2 * scale
+        self.G = pattern_graph(C)
+        self.entries = [(i, j) for i in range(m) for j in range(i, m) if C[i][j] is not None]
         self._fooling: Optional[list[int]] = None
 
     @functools.cached_property
@@ -436,14 +434,41 @@ class _Instance:
 
     def fooling(self, deadline: float) -> list[int]:
         """Indices into `entries` of a maximum clique of `conflicts`, or of the
-        largest found by the first call's deadline (`time.monotonic()`)."""
+        largest found by the first call's deadline (`time.monotonic()`).
+
+        The first call also relabels the conflict rows (`adj`) and entries
+        as (i, j, C[i][j]) (`reqs`) for `_search`, whose tie-break is the
+        lowest label: fooling-set entries, then higher degree, then index."""
         if self._fooling is None:
             self._fooling = max_clique(self.conflicts, deadline)
+            fooling, conflicts, C = set(self._fooling), self.conflicts, self.C
+            order = sorted(
+                range(len(conflicts)),
+                key=lambda e: (e not in fooling, -conflicts[e].bit_count(), e),
+            )
+            label = {e: 1 << k for k, e in enumerate(order)}
+            self.adj = [sum(label[f] for f in order if conflicts[e] >> f & 1) for e in order]
+            self.reqs = [(i, j, C[i][j]) for i, j in (self.entries[e] for e in order)]
         return self._fooling
+
+    def factor(self, x2: Sequence[Optional[int]]) -> TropVector:
+        """A witness of `_search` (twice its coordinates on C's grid) lifted
+        onto A: (x2 + 2 d_i) / (2 scale) at row i with diagonal d_i."""
+        b: list[Optional[Fraction]] = [None] * self.A.n
+        for (i, d), v in zip(self.lift, x2):
+            if v is not None:
+                b[i] = Fraction(v + 2 * d, 2 * self.scale)
+        return TropVector(b)
 
 
 def _prepared(A: SymTropMatrix | _Instance) -> _Instance:
-    return A if isinstance(A, _Instance) else _Instance(A)
+    """A itself, or the instance (identity lift) of a normalized matrix A."""
+    if isinstance(A, _Instance):
+        return A
+    zero_diagonal = _zero_diagonal(A)  # normalized: CP, every diagonal entry 0
+    if zero_diagonal is None or [d for _, d in zero_diagonal[1]] != [0] * A.n:
+        raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
+    return _Instance(A, zero_diagonal)
 
 
 def _plus_one(planes: list[int], bits: int) -> list[int]:
@@ -472,23 +497,18 @@ def _search(
     every touched factor blocks, close the node when a greedy clique of them
     outnumbers the untouched factors.  Relabelling makes the lowest set bit
     the tie-break: fooling-set entries, then higher conflict degree, then
-    lower index.  Returns the touched factors' witnesses or None; raises
-    _Guard when the budget runs out.
+    lower index (`_Instance.fooling`).  Returns the touched factors'
+    witnesses (see `_FactorBuild.witness`) or None; raises _Guard when the
+    budget runs out.
     """
-    fooling, conflicts = set(P.fooling(budget.deadline)), P.conflicts
-    order = sorted(
-        range(len(conflicts)), key=lambda e: (e not in fooling, -conflicts[e].bit_count(), e)
-    )
-    label = {e: k for k, e in enumerate(order)}
-    adj = [sum(1 << label[f] for f in label if conflicts[e] >> f & 1) for e in order]
-    C = P.C
-    reqs = [(i, j, C[i][j]) for i, j in (P.entries[e] for e in order)]
-    factors = [_FactorBuild(C) for _ in range(r)]
+    P.fooling(budget.deadline)
+    adj, reqs = P.adj, P.reqs
+    factors = [_FactorBuild(P.C) for _ in range(r)]
     blocked = [0] * r
 
-    def rec(unassigned: int, touched: int, planes: list[int]) -> Optional[list[TropVector]]:
+    def rec(unassigned: int, touched: int, planes: list[int]) -> Optional[list[list]]:
         if not unassigned:
-            out = [f.witness(P.scale) for f in factors[:touched]]
+            out = [f.witness() for f in factors[:touched]]
             if any(w is None for w in out):
                 raise AssertionError(
                     "factor system feasible in the search but its witness fails the recheck"
@@ -540,11 +560,11 @@ def cp_rank_leq(
 ) -> RankSearchOutcome:
     """Decide whether a normalized CP matrix has CP-rank at most r.
 
-    Returns a verified decomposition on success (factors the search never
-    touched are dropped), a complete refutation after exhausting every
-    assignment, or an undetermined report when the node limit or timeout
-    (which covers building the conflict graph and fooling clique) was hit
-    first.  `nodes` counts the root and every push; the clock is read at
+    Returns a verified decomposition on success (of an `_Instance`'s
+    input; factors the search never touched are dropped), a complete
+    refutation after exhausting every assignment, or an undetermined report
+    when the node limit or timeout (which covers building the conflict
+    graph and fooling clique) was hit first.  `nodes` counts the root and every push; the clock is read at
     the root and every 1,024 nodes after it.
     """
     budget = _Budget(node_limit, timeout_s)
@@ -557,7 +577,7 @@ def cp_rank_leq(
     try:
         vectors = _search(P, r, budget, stats)
         if vectors is not None:
-            status, dec = FOUND, Decomposition(P.A, vectors)
+            status, dec = FOUND, Decomposition(P.A, [P.factor(x2) for x2 in vectors])
     except _Guard:
         status = UNDETERMINED
     stats.nodes = budget.nodes
@@ -673,66 +693,54 @@ def cp_rank_exact(
 ) -> tuple[Optional[int | float], RankCertificate]:
     """Smallest r admitting a verified r-factor decomposition.
 
-    Normalization is applied internally (it preserves CP-rank) and the
-    certificate is lifted back to the input matrix.  Returns (inf, cert)
-    for a non-CP input.  When the sweep is interrupted by a resource guard
-    or exceeds r_max, the result is an explicit undetermined report with
-    the range already refuted; it is never a guess.  `refuted` runs from
+    The search runs on the normalized matrix (it keeps the CP-rank).  The
+    input's one CP check prepares the instance (`_Instance`), which carries
+    the lift; its grid, graphs, fooling clique and search order serve both
+    bounds and every `cp_rank_leq(r)`, and the found witnesses are lifted
+    onto the input and verified once, against it.  Returns (inf, cert) for a
+    non-CP input.  When the sweep is interrupted by a resource guard or
+    exceeds r_max, the result is an explicit undetermined report with the
+    range already refuted; it is never a guess.  `refuted` runs from
     `rank_lower_bound`; `refuted_by` says for each r whether the
     fooling-set bound or a complete search refuted it.
 
-    The normalized matrix is prepared once (`_Instance`): its grid,
-    pattern graph, conflict graph and fooling clique serve both bounds and
-    every `cp_rank_leq(r)`.  `timeout_s` and `node_limit` bound the whole
-    call: the fooling clique and each `cp_rank_leq(r)` get what is left of
-    one deadline and one node budget.  `threads` is accepted; the search
-    runs serially.
-    A negative `r_max` or `node_limit`, or a negative or NaN `timeout_s`,
-    raises ValueError.
+    `timeout_s` and `node_limit` bound the whole call: the fooling clique
+    and each `cp_rank_leq(r)` get what is left of one deadline and one node
+    budget.  `threads` is accepted; the search runs serially.  A negative
+    `r_max` or `node_limit`, or a negative or NaN `timeout_s`, raises
+    ValueError.
     """
     for name, value in (("r_max", r_max), ("node_limit", node_limit), ("timeout_s", timeout_s)):
         if value is not None and not value >= 0:  # NaN fails too
             raise ValueError(f"{name} must be >= 0, got {value}")
     deadline = time.monotonic() + timeout_s
     stats = SearchStats()
-    if all(v.is_inf for _, _, v in A.upper_entries()):
-        dec = Decomposition(A, [])
-        cert = RankCertificate("exact", 0, dec, (), None, stats)
-        return 0, cert
-    if not is_completely_positive(A):
-        cert = RankCertificate("not_cp", None, None, (), None, stats)
-        return float("inf"), cert
-    C, record = normalize(A)
+    zero_diagonal = _zero_diagonal(A)
+    if zero_diagonal is None:
+        return float("inf"), RankCertificate("not_cp", None, None, (), None, stats)
+    if not zero_diagonal[1]:  # every diagonal entry, so every entry, is inf
+        return 0, RankCertificate("exact", 0, Decomposition(A, []), (), None, stats)
+    P = _Instance(A, zero_diagonal)
     if r_max is None:
-        r_max = default_rank_cap(C.n)
+        r_max = default_rank_cap(len(P.C))
     # every r below the fooling-set bound is refuted without a search
-    P = _Instance(C)
     lower = rank_lower_bound(P)
     fooling = len(P.fooling(deadline))
     refuted = list(range(lower, min(fooling, r_max + 1)))
     refuted_by = ["bound"] * len(refuted)
-    r = lower + len(refuted)
+    r, dec = lower + len(refuted), None
     while r <= r_max:
-        outcome = cp_rank_leq(
-            P,
-            r,
-            node_limit=node_limit - stats.nodes,
-            timeout_s=deadline - time.monotonic(),
-        )
+        left = node_limit - stats.nodes
+        outcome = cp_rank_leq(P, r, node_limit=left, timeout_s=deadline - time.monotonic())
         stats.merge(outcome.stats)
-        if outcome.found:
-            lifted = lift_decomposition(outcome.decomposition, record)
-            if lifted.target != A:
-                raise AssertionError("lifted certificate does not match the input")
-            cert = RankCertificate(
-                "exact", r, lifted, tuple(refuted), None, stats, tuple(refuted_by)
-            )
-            return r, cert
         if not outcome.refuted:
+            dec = outcome.decomposition
             break
         refuted.append(r)
         refuted_by.append("search")
         r += 1
+    if dec is not None:
+        return r, RankCertificate("exact", r, dec, tuple(refuted), None, stats, tuple(refuted_by))
     # a guard stopped the search at r, or the sweep passed r_max
     at = min(r, r_max + 1)
     cert = RankCertificate("undetermined", None, None, tuple(refuted), at, stats, tuple(refuted_by))
@@ -746,10 +754,9 @@ def zero_one_rank(A: SymTropMatrix) -> int:
     factor per isolated vertex (an isolated vertex's diagonal zero cannot
     share a factor with any other zero).  For the empty pattern this is n.
     """
-    require_normalized(A)
+    G = _prepared(A).G
     for i, j, v in A.upper_entries():
         if i != j and v not in (TropScalar(0), TropScalar(1)):
             raise ValueError(f"entry ({i + 1},{j + 1}) = {v} is not 0 or 1")
-    G = pattern_graph(A)
     cc, _ = edge_clique_cover_number(G)
     return cc + G.masks.count(0)  # one factor per isolated vertex

@@ -638,6 +638,12 @@ def reference_lift_factor(record: NormalizationRecord, c: TropVector) -> TropVec
     return TropVector(entries)
 
 
+def witness_vector(x2: Sequence[Optional[int]], scale: int) -> TropVector:
+    """A search witness, twice its coordinates on the grid of `scale` (None
+    for inf), as the exact vector it stands for."""
+    return TropVector(None if v is None else Fraction(v, 2 * scale) for v in x2)
+
+
 def _finite_offdiag_requirements(C: list[list[Optional[int]]]) -> list[tuple[int, int, int]]:
     """The finite entries c = C[i][j] with i < j, as (i, j, c) in (c, i, j) order."""
     n = len(C)
@@ -672,9 +678,9 @@ def _search_skeleton(
 
     def rec(depth: int) -> Optional[list[TropVector]]:
         if depth == len(reqs):
-            out = [f.witness(scale) for f in factors if f.vars]
+            out = [f.witness() for f in factors if f.vars]
             assert all(w is not None for w in out)
-            return out
+            return [witness_vector(x2, scale) for x2 in out]
         i, j, c = reqs[depth]
         touched_spares = sum(1 for f in factors[n_fixed:] if f.vars)
         limit = min(r, n_fixed + touched_spares + 1)

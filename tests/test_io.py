@@ -8,6 +8,7 @@ from tropcp import (
     Decomposition,
     PatternGraph,
     SymTropMatrix,
+    TropScalar,
     TropVector,
     ParseError,
     is_completely_positive,
@@ -73,6 +74,31 @@ class TestMatrixFormat:
         G = random_pattern_graph(5, 3)
         A = generate_instance(G, 3, inf_probability=0.4)
         assert parse_matrix(render_matrix(A)) == A
+
+
+# ASCII digit strings parse through int(), every other token through Fraction()
+TOKENS = [
+    *("0", "7", "007", "+3", "-0", "-12", "1_000", "1e3", "0.5", "3/6", "1/0", "x"),
+    *("inf", "Inf", "\u221e", "\u0663", "\u00b2", "1" * 5000),  # infinity, Arabic 3, superscript 2
+]
+
+
+class TestTokens:
+    @pytest.mark.parametrize("token", TOKENS, ids=lambda t: ascii(t)[1:-1][:12])
+    def test_token_parses_as_fraction_does(self, token):
+        # the reference is the parse before int() took plain digits
+        try:
+            expected = TropScalar("inf") if token == "inf" else TropScalar(Fraction(token))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError) as err:
+                parse_vector(token)
+            assert str(err.value) == f"bad token {token!r} at position 1"
+        else:
+            assert parse_vector(token) == TropVector([expected])
+
+    def test_exact_fraction_is_kept(self):
+        x = Fraction(2, 6)
+        assert TropScalar(x).finite is x
 
 
 class TestGraphFormat:

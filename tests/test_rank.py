@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -9,18 +10,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tropcp.analysis as analysis_mod
+import tropcp.core as core_mod
 import tropcp.graphs as graphs_mod
 import tropcp.rank as rank_mod
 from tropcp import (
     INF,
     FactorConstraintSystem,
     SymTropMatrix,
+    TropScalar,
     TropVector,
     cp_rank_exact,
     cp_rank_leq,
     cp_rank_upper_bound,
     edge_clique_cover_number,
     fooling_set_bound,
+    lift_decomposition,
     normalize,
     pattern_graph,
     rank_lower_bound,
@@ -54,6 +58,7 @@ from oracles import (
     brute_cp_rank,
     reference_solve_factor_system,
     skeleton_cp_rank_leq,
+    witness_vector,
 )
 
 
@@ -311,7 +316,7 @@ class TestIntegerKernel:
                 support, equalities = trial, equalities + [(i, j, value)]
                 # the leaf's witness, on the kernel; undo its fixed roots
                 mark = f.mark()
-                assert f.witness(scale) == reference_solve_factor_system(system)
+                assert witness_vector(f.witness(), scale) == reference_solve_factor_system(system)
                 f.undo(mark)
             else:
                 f.pop()
@@ -612,6 +617,69 @@ class TestSearchCounters:
         ]
 
 
+def _dressed(C: SymTropMatrix, seed: int) -> SymTropMatrix:
+    """C with each row shifted by a seeded half-integer s_i (a_ij + s_i + s_j,
+    so an odd diagonal where C's is 0) and up to two all-inf rows inserted at
+    seeded places; the normalized form of the result is that of C."""
+    rng = random.Random(seed)
+    n = C.n + rng.randrange(3)
+    where = {p: k for k, p in enumerate(sorted(rng.sample(range(n), C.n)))}
+    shift = [Fraction(rng.randrange(-7, 8), 2) for _ in range(C.n)]
+
+    def entry(i, j):
+        if i not in where or j not in where:
+            return INF
+        k, l = where[i], where[j]
+        return C[k, l] * TropScalar(shift[k] + shift[l])
+
+    return SymTropMatrix.from_upper_func(n, entry)
+
+
+def _normalized_path(A: SymTropMatrix):
+    """The sweep of `cp_rank_exact` run on normalize(A) through the public
+    calls, its certificate lifted with the record: (rank, refuted, nodes,
+    decomposition)."""
+    C, record = normalize(A)
+    lower = rank_lower_bound(C)
+    refuted = list(range(lower, max(lower, fooling_set_bound(C)[0])))
+    r, nodes = lower + len(refuted), 0
+    while True:
+        outcome = cp_rank_leq(C, r)
+        nodes += outcome.stats.nodes
+        if outcome.found:
+            return r, refuted, nodes, lift_decomposition(outcome.decomposition, record)
+        assert outcome.refuted
+        refuted.append(r)
+        r += 1
+
+
+class TestLiftedCertificate:
+    def test_matches_the_normalized_path_on_inputs_that_are_not_normalized(self):
+        seen = {"inf row": 0, "half shift": 0}
+        for seed in range(60):
+            n = 3 + seed % 4
+            if seed % 3 == 1:
+                G = random_pattern_graph(n, seed, 0.2 + 0.1 * (seed % 4))
+                A = _dressed(generate_instance(G, 1000 + seed, max_numerator=3), seed)
+            else:
+                A = random_cp_matrix(n, seed)
+                A = _dressed(A, seed) if seed % 3 == 2 else A
+            rank, cert = cp_rank_exact(A)
+            got = (rank, list(cert.refuted), cert.stats.nodes, cert.decomposition)
+            assert got == _normalized_path(A), seed
+            assert cert.decomposition.target is A
+            diagonal = [A[i, i] for i in range(A.n)]
+            seen["inf row"] += INF in diagonal
+            seen["half shift"] += any(d != INF and d.finite % 2 == 1 for d in diagonal)
+        assert min(seen.values()) >= 10, seen
+
+    def test_odd_inf_diagonal_matrix(self):
+        A = SymTropMatrix.from_rows([["inf"] * 3, ["inf", 1, 2], ["inf", 2, 3]])
+        rank, cert = cp_rank_exact(A)
+        assert rank == 1
+        assert [[str(e) for e in f] for f in cert.decomposition.factors] == [["inf", "1/2", "3/2"]]
+
+
 class TestAgainstSkeletonSearch:
     """The assignment search against the reference skeleton walk it replaced."""
 
@@ -679,47 +747,63 @@ class TestFrontier:
 
 class TestPreparedInstance:
     def test_one_grid_pattern_graph_and_conflict_graph_per_exact_call(self, monkeypatch):
-        # the certificate's verifier makes its own pass in tropcp.core, which
-        # is not counted here
-        calls = {"normalize": [], "grid": [], "pattern_graph": 0, "conflicts": 0, "check": 0}
+        # first arguments of each call, by name; the grid passes are counted in
+        # the modules the instance reads through (the verifier's own pass in
+        # tropcp.core is counted as its is_exact_decomposition call)
+        calls: dict[str, list] = {}
 
-        def counting(name, fn):
+        def record(mod, name):
+            fn = getattr(mod, name)
+
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.setdefault(name, []).append(args[0])
                 return fn(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(mod, name, wrapper)
 
-        def normalize_recorded(A):
-            out = normalize(A)
-            calls["normalize"].append(out[0])
-            return out
-
-        def grid_recorded(A, *args):
-            calls["grid"].append(A)
-            return scaled_rows(A, *args)
-
-        monkeypatch.setattr(rank_mod, "normalize", normalize_recorded)
-        for mod in (rank_mod, graphs_mod, analysis_mod):
-            monkeypatch.setattr(mod, "scaled_rows", grid_recorded)
-        monkeypatch.setattr(rank_mod, "pattern_graph", counting("pattern_graph", pattern_graph))
-        monkeypatch.setattr(
-            rank_mod, "_conflict_rows", counting("conflicts", rank_mod._conflict_rows)
-        )
-        monkeypatch.setattr(
-            rank_mod, "require_normalized", counting("check", rank_mod.require_normalized)
-        )
+        for mod in (rank_mod, analysis_mod):
+            for name in ("_zero_diagonal", "is_completely_positive", "normalize", "lift_decomposition"):
+                record(mod, name)
+        for mod in (graphs_mod, analysis_mod):  # tropcp.rank reads no grid itself
+            record(mod, "scaled_rows")
+        record(rank_mod, "pattern_graph")
+        record(rank_mod, "_conflict_rows")
+        record(core_mod, "is_exact_decomposition")
+        odd = SymTropMatrix.from_rows([["inf"] * 3, ["inf", 1, 2], ["inf", 2, 3]])
         for A, rank in (
             (paw_matrix(1, 2), 2),
             (star6_matrix(), 6),
             (rank_six_5x5(), 6),
             (n7_p03_349(), 7),
+            (flat_3x3(), 2),
+            (random_cp_matrix(6, 7), 4),
+            (odd, 1),
         ):
-            calls.update(normalize=[], grid=[], pattern_graph=0, conflicts=0, check=0)
+            calls.clear()
             assert cp_rank_exact(A)[0] == rank
-            (C,) = calls["normalize"]
-            assert sum(M is C for M in calls["grid"]) == 1
-            assert (calls["pattern_graph"], calls["conflicts"], calls["check"]) == (1, 1, 1)
+            assert calls.pop("_zero_diagonal") == [A]
+            assert calls.pop("scaled_rows") == [A]
+            (dec_target,) = calls.pop("is_exact_decomposition")
+            assert dec_target is A
+            assert [len(calls.pop(k)) for k in ("pattern_graph", "_conflict_rows")] == [1, 1]
+            # no CP check, normalize or lift besides the one pass
+            assert calls == {}
+
+    def test_search_order_is_built_once_per_instance(self, monkeypatch):
+        orders = []
+        search = rank_mod._search
+
+        def recorded(P, *args):
+            out = search(P, *args)
+            orders.append((P.adj, P.reqs))
+            return out
+
+        monkeypatch.setattr(rank_mod, "_search", recorded)
+        # one cp_rank_leq refutes r = 6, the next finds r = 7
+        _, cert = cp_rank_exact(n7_p03_349())
+        assert (cert.rank, cert.refuted_by) == (7, ("bound", "search"))
+        (adj, reqs), (adj2, reqs2) = orders
+        assert adj is adj2 and reqs is reqs2
 
 
 class TestBounds:
