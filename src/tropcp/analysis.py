@@ -59,6 +59,17 @@ def _zero_diagonal(
     return upper, survivors, scale
 
 
+def _normalizable(A: SymTropMatrix) -> tuple[list[Optional[int]], list[tuple[int, int]], int]:
+    """`_zero_diagonal(A)`; raises when A is not CP or every diagonal entry
+    is infinite, the inputs that have no normalized matrix."""
+    zero_diagonal = _zero_diagonal(A)
+    if zero_diagonal is None:
+        raise NotCompletelyPositiveError("matrix is not completely positive")
+    if not zero_diagonal[1]:
+        raise ValueError("every diagonal entry is infinite; the normalized matrix would be empty")
+    return zero_diagonal
+
+
 def _scalar(value: Optional[int], scale: int) -> TropScalar:
     return INF if value is None else TropScalar(Fraction(value, scale))
 
@@ -132,10 +143,6 @@ class NormalizationRecord:
     deleted: tuple[int, ...]
     shifts: tuple[tuple[int, Fraction], ...]
 
-    @property
-    def survivors(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.shifts)
-
     def shift_of(self, original_index: int) -> Fraction:
         return dict(self.shifts)[original_index]
 
@@ -188,12 +195,7 @@ def normalize(A: SymTropMatrix) -> tuple[SymTropMatrix, NormalizationRecord]:
     off-diagonal entries; the returned record inverts the transform exactly
     and carries factor lifting.  CP-rank is unchanged by this transform.
     """
-    zero_diagonal = _zero_diagonal(A)
-    if zero_diagonal is None:
-        raise NotCompletelyPositiveError("matrix is not completely positive")
-    upper, survivors, scale = zero_diagonal
-    if not survivors:
-        raise ValueError("every diagonal entry is infinite; the normalized matrix would be empty")
+    upper, survivors, scale = _normalizable(A)
     C = SymTropMatrix(len(survivors), [_scalar(v, 2 * scale) for v in upper])
     deleted = tuple(sorted(set(range(A.n)) - {i for i, _ in survivors}))
     shifts = tuple((i, Fraction(d, 2 * scale)) for i, d in survivors)

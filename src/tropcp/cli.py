@@ -42,6 +42,7 @@ from .rank import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIMEOUT_S,
     cp_rank_exact,
+    prepare_instance,
 )
 from .reports import dump_report, embed_decomposition, make_report, matrix_digest
 from .selftest import run_selftest
@@ -136,16 +137,15 @@ def cmd_graph(A, args):
 
 
 def cmd_bound(A, args):
-    C, record = normalize(A)
-    G = pattern_graph(C)
-    cover, bound = min_cover_bound(G)
+    P = prepare_instance(A)
+    cover, bound = min_cover_bound(P.G)
     # cp_rank_upper_bound, reusing this cover search
-    ub = G.n if is_small_empty_pattern(G) else bound
+    ub = P.G.n if is_small_empty_pattern(P.G) else bound
     return EXIT_OK, {
         "upper_bound": ub,
         "cover_bound": bound,
-        # in the input's numbering: normalize drops infinite-diagonal rows
-        "cover": [[record.survivors[v] + 1 for v in c] for c in cover.cliques],
+        # in the input's numbering: the instance drops infinite-diagonal rows
+        "cover": [[P.lift[v][0] + 1 for v in c] for c in cover.cliques],
         "empty_pattern_exception": ub != bound,
     }
 

@@ -18,31 +18,31 @@ size >= 2 exists to supply singleton diagonals, and the involved entries
 are finite); otherwise a per-pair construction plus a greedy merge pass is
 always sound, and an exact search with a TAIL_SEARCH_NODES budget restores
 the floor(l^2/4) factor count when the merge alone does not reach it.
-Counts are whatever was actually achieved and the result is verified
-exactly on construction.
+Counts are whatever was actually achieved.  All of it runs on the grid of
+a prepared instance (`rank._Instance`): the blocks are read off D = 2 C,
+twice its normalized grid rows, so each block vector is a doubled witness
+that the instance lifts onto its input, as the exact rank search's are, and
+the lifted factors are verified once, against the input.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .analysis import require_normalized
-from .core import (
-    INF,
-    ZERO,
-    Decomposition,
-    SymTropMatrix,
-    TropScalar,
-    TropVector,
-    scaled_rows,
-)
+from .core import Decomposition, SymTropMatrix, TropVector
 from .graphs import (
     CliqueCover,
     PatternGraph,
     is_small_empty_pattern,
     min_cover_bound,
-    pattern_graph,
+    # unused here but kept: perfbench/layers.py patches it on this module to time spans
+    pattern_graph,  # noqa
 )
+from .rank import SearchStats, _Budget, _Guard, _Instance, _prepared, _search, prepare_instance
+
+# grid rows and vectors on them, None for inf
+Rows = list[list[Optional[int]]]
+Vector = list[Optional[int]]
 
 TAIL_EMPTY = "empty"
 TAIL_CLOSED = "closed-form"
@@ -83,59 +83,56 @@ def make_block_plan(G: PatternGraph, cover: CliqueCover) -> CliqueCover:
     return reduce_to_partition(cover, G.n)
 
 
-def clique_block(A: SymTropMatrix, plan: CliqueCover) -> list[list[TropScalar]]:
+def clique_block(D: Rows, plan: CliqueCover) -> list[Vector]:
     """One indicator vector per clique: zero on the clique, infinite elsewhere."""
     out = []
     for clique in plan.cliques[: plan.k]:
-        vec: list[TropScalar] = [INF] * A.n
+        vec: Vector = [None] * len(D)
         for t in clique:
-            vec[t] = ZERO
+            vec[t] = 0
         out.append(vec)
     return out
 
 
-def _column_over(A: SymTropMatrix, p: int, over: Sequence[int]) -> list[TropScalar]:
-    """Zero at p, p's column A[t, p] at each t in `over`, infinite elsewhere."""
-    vec: list[TropScalar] = [INF] * A.n
-    vec[p] = ZERO
+def _column_over(D: Rows, p: int, over: Sequence[int]) -> Vector:
+    """Zero at p, p's column D[t][p] at each t in `over`, infinite elsewhere."""
+    vec: Vector = [None] * len(D)
+    vec[p] = 0
     for t in over:
-        vec[t] = A[t, p]
+        vec[t] = D[t][p]
     return vec
 
 
-def cross_block(A: SymTropMatrix, plan: CliqueCover) -> list[list[TropScalar]]:
-    """Vectors matching A between distinct cliques.
+def cross_block(D: Rows, plan: CliqueCover) -> list[Vector]:
+    """Vectors matching D between distinct cliques.
 
     For cliques i < j and each vertex p of clique j: p's column over
     clique i, zero at p.
     """
     cliques = plan.cliques[: plan.k]
     return [
-        _column_over(A, p, earlier)
+        _column_over(D, p, earlier)
         for i, earlier in enumerate(cliques)
         for later in cliques[i + 1 :]
         for p in later
     ]
 
 
-def singleton_link_block(A: SymTropMatrix, plan: CliqueCover) -> list[list[TropScalar]]:
-    """Vectors matching A between each clique and each singleton.
+def singleton_link_block(D: Rows, plan: CliqueCover) -> list[Vector]:
+    """Vectors matching D between each clique and each singleton.
 
     Zero at the singleton (covering its diagonal), the singleton's column
     over the clique, infinite elsewhere.
     """
     singles = plan.singles
-    return [_column_over(A, p, clique) for clique in plan.cliques[: plan.k] for p in singles]
+    return [_column_over(D, p, clique) for clique in plan.cliques[: plan.k] for p in singles]
 
 
-def _dominates(C: list[list[Optional[int]]], vec: Sequence[Optional[int]]) -> bool:
-    """No undercut: vec's outer product is >= C wherever vec is finite.
-
-    C and vec are scaled to ints on one grid, with None for infinity.
-    """
+def _dominates(D: Rows, vec: Vector) -> bool:
+    """No undercut: vec's outer product is >= D wherever vec is finite."""
     finite = [(t, x) for t, x in enumerate(vec) if x is not None]
     for a, (s, xs) in enumerate(finite):
-        row = C[s]
+        row = D[s]
         for t, xt in finite[a:]:
             target = row[t]
             if target is None or xs + xt < target:
@@ -143,10 +140,8 @@ def _dominates(C: list[list[Optional[int]]], vec: Sequence[Optional[int]]) -> bo
     return True
 
 
-def _merge_pass(
-    B: SymTropMatrix, vectors: list[list[TropScalar]]
-) -> list[list[TropScalar]]:
-    """Greedily fuse vector pairs while the fused vector still dominates B.
+def _merge_pass(D: Rows, vectors: list[Vector]) -> list[Vector]:
+    """Greedily fuse vector pairs while the fused vector still dominates D.
 
     Entrywise minimum keeps every entry the originals attained (it can only
     attain more), so domination is the only condition to recheck.  Each
@@ -158,13 +153,9 @@ def _merge_pass(
     vectors is fused further.  Every pair before (a, b) in scan order
     failed and still fails after the merge, so the next dominating pair
     is at (a, b) or later: the scan resumes there instead of restarting,
-    and makes the same merges.  The work is on exact ints, on the grid
-    `scaled_rows` puts B and the vectors on, and the results are mapped
-    back to the input scalars on return.
+    and makes the same merges.  D and the vectors are on one grid.
     """
-    C, vecs, _ = scaled_rows(B, vectors)
-    # every merged value is one of the inputs
-    scalars = {x: e for v, xs in zip(vectors, vecs) for e, x in zip(v, xs)}
+    vecs = list(vectors)
     a = 0
     while a < len(vecs):
         b = a + 1
@@ -173,22 +164,22 @@ def _merge_pass(
                 y if x is None else x if y is None or x <= y else y
                 for x, y in zip(vecs[a], vecs[b])
             ]
-            if _dominates(C, merged):
+            if _dominates(D, merged):
                 vecs[a] = merged
                 del vecs[b]
             else:
                 b += 1
         a += 1
-    return [[scalars[x] for x in v] for v in vecs]
+    return vecs
 
 
 def singleton_tail_block(
-    A: SymTropMatrix,
+    D: Rows,
     plan: CliqueCover,
     small_empty: bool,
-) -> tuple[list[list[TropScalar]], str]:
+) -> tuple[list[Vector], str]:
     """Factors covering entries between singletons (block 4); the exact search
-    aims at A.n factors when `small_empty` (`is_small_empty_pattern`), else floor(l^2/4)."""
+    aims at len(D) factors when `small_empty` (`is_small_empty_pattern`), else floor(l^2/4)."""
     singles = plan.singles
     l = len(singles)
     k = plan.k
@@ -197,7 +188,7 @@ def singleton_tail_block(
         (p, q)
         for a, p in enumerate(singles)
         for q in singles[a + 1 :]
-        if not A[p, q].is_inf
+        if D[p][q] is not None
     ]
     need_diagonals = k == 0
 
@@ -206,78 +197,77 @@ def singleton_tail_block(
 
     if k >= 1 and l == 2 and len(finite_pairs) == 1:
         p, q = finite_pairs[0]
-        return [_column_over(A, p, (q,))], TAIL_CLOSED
+        return [_column_over(D, p, (q,))], TAIL_CLOSED
 
     if k >= 1 and l == 3 and len(finite_pairs) == 3:
         # roles: w free, (u, v) the maximal pair; ties pick the
         # lexicographically last vertex pair
-        best = max(finite_pairs, key=lambda pq: (A[pq[0], pq[1]].finite, pq))
+        best = max(finite_pairs, key=lambda pq: (D[pq[0]][pq[1]], pq))
         u, v = best
         (w,) = [s for s in singles if s not in best]
-        return [_column_over(A, w, (u,)), _column_over(A, v, (w, u))], TAIL_CLOSED
+        return [_column_over(D, w, (u,)), _column_over(D, v, (w, u))], TAIL_CLOSED
 
     # Per-pair fallback, always sound.
-    vectors = [_column_over(A, p, (q,)) for p, q in finite_pairs]
+    vectors = [_column_over(D, p, (q,)) for p, q in finite_pairs]
     if need_diagonals:
         for s in singles:
-            if not any(v[s] == ZERO for v in vectors):
-                vectors.append(_column_over(A, s, ()))
-    vectors = _merge_pass(A, vectors)
+            if not any(v[s] == 0 for v in vectors):
+                vectors.append(_column_over(D, s, ()))
+    vectors = _merge_pass(D, vectors)
     mode = TAIL_PAIRS
 
-    target = A.n if small_empty else (l * l) // 4
+    target = len(D) if small_empty else (l * l) // 4
     if len(vectors) > target and l >= 2:
-        found = _tail_exact_search(A, singles, target)
+        found = _tail_exact_search(D, singles, target)
         if found is not None:
             vectors = found
             mode = TAIL_SEARCH
     return vectors, mode
 
 
-def _tail_exact_search(
-    A: SymTropMatrix, singles: Sequence[int], target: int
-) -> Optional[list[list[TropScalar]]]:
-    """Decompose the singleton principal submatrix with at most `target` factors.
+def _tail_exact_search(D: Rows, singles: Sequence[int], target: int) -> Optional[list[Vector]]:
+    """At most `target` factors of the singletons' principal submatrix, or None.
 
-    Uses the exact rank search with a TAIL_SEARCH_NODES budget; on success the factors
-    are embedded back with infinity outside the singletons.
+    Runs the exact rank search with a TAIL_SEARCH_NODES budget on C = D / 2
+    with every entry off the singletons' rows and columns made infinite, so
+    the submatrix holds all its finite entries.  Its witnesses, twice their
+    coordinates on C's grid, are on D's grid and infinite off the singletons.
     """
-    from .rank import cp_rank_leq
-
-    sub = SymTropMatrix.from_upper_func(
-        len(singles), lambda i, j: A[singles[i], singles[j]]
-    )
-    outcome = cp_rank_leq(sub, target, node_limit=TAIL_SEARCH_NODES, timeout_s=60.0)
-    if not outcome.found:
+    keep, m = set(singles), len(D)
+    upper = [
+        D[p][q] // 2 if p in keep and q in keep and D[p][q] is not None else None
+        for p in range(m)
+        for q in range(p, m)
+    ]
+    sub = _Instance(None, (upper, [(p, 0) for p in range(m)], 1))
+    try:
+        return _search(sub, target, _Budget(TAIL_SEARCH_NODES, 60.0), SearchStats())
+    except _Guard:
         return None
-    embedded = []
-    for factor in outcome.decomposition.factors:
-        vec: list[TropScalar] = [INF] * A.n
-        for pos, s in enumerate(singles):
-            vec[s] = factor[pos]
-        embedded.append(vec)
-    return embedded
 
 
-def construct_decomposition(A: SymTropMatrix, cover: CliqueCover) -> Decomposition:
+def construct_decomposition(A: SymTropMatrix | _Instance, cover: CliqueCover) -> Decomposition:
     """Build and verify the clique-cover decomposition of a normalized CP matrix."""
     dec, _ = construct_decomposition_detailed(A, cover)
     return dec
 
 
 def construct_decomposition_detailed(
-    A: SymTropMatrix, cover: CliqueCover
+    A: SymTropMatrix | _Instance, cover: CliqueCover
 ) -> tuple[Decomposition, tuple[CliqueCover, tuple[int, int, int, int], str]]:
-    """As construct_decomposition, also reporting the partition, block counts, and tail mode."""
-    require_normalized(A)
-    G = pattern_graph(A)
-    plan = make_block_plan(G, cover)
-    b1 = clique_block(A, plan)
-    b2 = cross_block(A, plan)
-    b3 = singleton_link_block(A, plan)
-    b4, tail_mode = singleton_tail_block(A, plan, is_small_empty_pattern(G))
-    factors = [TropVector(v) for v in (*b1, *b2, *b3, *b4)]
-    dec = Decomposition(A, factors)
+    """As construct_decomposition, also reporting the partition, block counts, and tail mode.
+
+    A is a normalized matrix or a prepared instance (`rank._Instance`); the
+    partition numbers the rows of its grid C, and the factors target its input.
+    """
+    P = _prepared(A)
+    plan = make_block_plan(P.G, cover)
+    D = [[None if v is None else 2 * v for v in row] for row in P.C]
+    b1 = clique_block(D, plan)
+    b2 = cross_block(D, plan)
+    b3 = singleton_link_block(D, plan)
+    b4, tail_mode = singleton_tail_block(D, plan, is_small_empty_pattern(P.G))
+    dec = Decomposition(P.A, [P.factor(x2) for x2 in (*b1, *b2, *b3, *b4)])
     achieved = (len(b1), len(b2), len(b3), len(b4))
     return dec, (plan, achieved, tail_mode)
 
@@ -296,10 +286,9 @@ def empty_pattern_01_decomposition(n: int) -> Decomposition:
 
 
 def decompose_cp(A: SymTropMatrix) -> Decomposition:
-    """Convenience wrapper: normalize, decompose, and lift back to the input.
+    """Decompose a CP matrix on the cover minimizing the rank bound.
 
-    Uses the cover minimizing the rank bound.  The input only needs to be
-    CP, not normalized.
+    The input only needs to be CP, not normalized.
     """
     dec, _ = decompose_cp_detailed(A)
     return dec
@@ -310,13 +299,11 @@ def decompose_cp_detailed(
 ) -> tuple[Decomposition, tuple[CliqueCover, tuple[int, int, int, int], str]]:
     """As decompose_cp, also reporting the partition, block counts, and tail mode.
 
-    The partition is that of the normalized matrix, numbered as its rows:
-    the input's rows with an infinite diagonal are gone.  Lifting keeps the
-    factor count, so the counts sum to the rank; the lift is verified on A.
+    The input is prepared once (`rank.prepare_instance`, which raises
+    `normalize`'s errors).  The partition is that of the normalized matrix,
+    numbered as its rows: the input's rows with an infinite diagonal are
+    gone.  Lifting keeps the factor count, so the counts sum to the rank.
     """
-    from .analysis import normalize
-
-    C, record = normalize(A)
-    cover, _ = min_cover_bound(pattern_graph(C))
-    dec, details = construct_decomposition_detailed(C, cover)
-    return Decomposition(A, record._lift(dec.factors)), details
+    P = prepare_instance(A)
+    cover, _ = min_cover_bound(P.G)
+    return construct_decomposition_detailed(P, cover)

@@ -46,8 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .analysis import _normalizable, _zero_diagonal
 # unused here but kept: perfbench/layers.py patches them on this module to time spans
-from .analysis import _zero_diagonal, is_completely_positive, lift_decomposition, normalize  # noqa
+from .analysis import is_completely_positive, lift_decomposition, normalize  # noqa
 from .core import Decomposition, SymTropMatrix, TropScalar, TropVector, on_grid
 from .graphs import (
     edge_clique_cover_number,
@@ -414,7 +415,8 @@ class _Instance:
     finite diagonal, and that diagonal times scale / 2), the identity when A
     is normalized.  Also C's pattern graph G and finite entries (i <= j),
     their conflict rows and fooling clique (built on first use).  The public
-    bounds and `cp_rank_leq` take one in place of A.
+    bounds, `cp_rank_leq` and the decompose construction take one in place
+    of A.  A is None on the decompose tail's instance, which only `_search` reads.
     """
 
     def __init__(self, A: SymTropMatrix, zero_diagonal) -> None:
@@ -471,6 +473,12 @@ def _prepared(A: SymTropMatrix | _Instance) -> _Instance:
     return _Instance(A, zero_diagonal)
 
 
+def prepare_instance(A: SymTropMatrix) -> _Instance:
+    """The instance of a CP matrix A from its one grid pass; raises
+    `normalize`'s errors when A has no normalized matrix (`_normalizable`)."""
+    return _Instance(A, _normalizable(A))
+
+
 def _plus_one(planes: list[int], bits: int) -> list[int]:
     """The bit-sliced counter `planes` (plane k holds bit k of each count)
     with one added at every set bit of `bits`."""
@@ -487,7 +495,7 @@ def _plus_one(planes: list[int], bits: int) -> list[int]:
 
 def _search(
     P: _Instance, r: int, budget: _Budget, stats: SearchStats
-) -> Optional[list[TropVector]]:
+) -> Optional[list[list[Optional[int]]]]:
     """DFS assigning every finite entry to a factor that attains it.
 
     A factor's "blocked" mask holds the entries that conflict with one it

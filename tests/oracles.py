@@ -23,12 +23,15 @@ layer's `TropScalar` versions, from before it moved onto the integer grid.
 `skeleton_cp_rank_leq` is the exact-rank search before it assigned every
 finite entry in one search: an outer walk over the zero-set skeletons of
 `graphs.CliquePartitions` and, inside each, a DFS over the off-diagonal
-entries in value order, on the library's factor kernel.
+entries in value order, on the library's factor kernel.  `dressed` turns
+a normalized matrix into inputs that are not normalized, for comparing a
+path that prepares its input with `normalize` and `lift_decomposition`.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -729,3 +732,21 @@ def skeleton_cp_rank_leq(
     stats.nodes = budget.nodes
     stats.wall_time = time.monotonic() - start
     return RankSearchOutcome(status, r, dec, stats)
+
+
+def dressed(C: SymTropMatrix, seed: int) -> SymTropMatrix:
+    """C with each row shifted by a seeded half-integer s_i (a_ij + s_i + s_j,
+    so an odd diagonal where C's is 0) and up to two all-inf rows inserted at
+    seeded places; the normalized form of the result is that of C."""
+    rng = random.Random(seed)
+    n = C.n + rng.randrange(3)
+    where = {p: k for k, p in enumerate(sorted(rng.sample(range(n), C.n)))}
+    shift = [Fraction(rng.randrange(-7, 8), 2) for _ in range(C.n)]
+
+    def entry(i, j):
+        if i not in where or j not in where:
+            return INF
+        k, l = where[i], where[j]
+        return C[k, l] * TropScalar(shift[k] + shift[l])
+
+    return SymTropMatrix.from_upper_func(n, entry)

@@ -6,6 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tropcp.analysis as analysis_mod
+import tropcp.cli as cli_mod
+import tropcp.core as core_mod
+import tropcp.decompose as decompose_mod
+import tropcp.graphs as graphs_mod
+import tropcp.rank as rank_mod
 from tropcp import (
     INF,
     CliqueCover,
@@ -17,11 +23,16 @@ from tropcp import (
     construct_decomposition_detailed,
     cover_bound,
     decompose_cp,
+    decompose_cp_detailed,
     empty_pattern_01_decomposition,
+    lift_decomposition,
+    min_cover_bound,
     normalize,
     pattern_graph,
+    render_matrix,
     verify_decomposition,
 )
+from tropcp.core import scaled_rows
 from tropcp.corpus import paw_matrix, rank_six_5x5
 from tropcp.decompose import (
     TAIL_CLOSED,
@@ -43,11 +54,28 @@ from tropcp.generators import (
 )
 from tropcp.graphs import cover_bound_terms
 
-from oracles import reference_merge_pass
+from oracles import dressed, reference_merge_pass
 
 
 def _vec(entries):
     return [TropScalar(e) if e != "inf" else INF for e in entries]
+
+
+def _scalars(vectors, scale):
+    """Grid vectors (None for inf) back to TropScalars on the grid of `scale`."""
+    return [[INF if x is None else TropScalar(Fraction(x, scale)) for x in v] for v in vectors]
+
+
+def _block(block, A, plan, *args):
+    """A block function run on A's grid rows, its vectors as TropScalars."""
+    rows, _, scale = scaled_rows(A)
+    return _scalars(block(rows, plan, *args), scale)
+
+
+def _merge(B, vectors):
+    """_merge_pass on the grid of B and the vectors, its result as TropScalars."""
+    rows, vecs, scale = scaled_rows(B, vectors)
+    return _scalars(_merge_pass(rows, vecs), scale)
 
 
 class TestBlocks:
@@ -55,30 +83,30 @@ class TestBlocks:
         A = paw_matrix(1, 2)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1, 2), (3,)]))
         assert plan.cliques[: plan.k] == ((0, 1, 2),) and plan.singles == (3,)
-        [x] = clique_block(A, plan)
+        [x] = _block(clique_block, A, plan)
         assert x == _vec([0, 0, 0, "inf"])
 
     def test_clique_indicators_two_pairs(self):
         A = SymTropMatrix.zeros(4)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2, 3)]))
-        xs = clique_block(A, plan)
+        xs = _block(clique_block, A, plan)
         assert xs == [_vec([0, 0, "inf", "inf"]), _vec(["inf", "inf", 0, 0])]
 
     def test_no_cliques_no_indicators(self):
         A = rank_six_5x5()
         plan = make_block_plan(pattern_graph(A), CliqueCover([(i,) for i in range(5)]))
-        assert clique_block(A, plan) == []
+        assert _block(clique_block, A, plan) == []
 
     def test_cross_block_single_clique_is_empty(self):
         A = paw_matrix(1, 2)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1, 2), (3,)]))
-        assert cross_block(A, plan) == []
+        assert _block(cross_block, A, plan) == []
 
     def test_cross_block_two_cliques(self):
         G = PatternGraph(4, [(0, 1), (2, 3)])
         A = generate_instance(G, seed=5)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2, 3)]))
-        ys = cross_block(A, plan)
+        ys = _block(cross_block, A, plan)
         # (j-1) * q_j summed: one pair of cliques, second has two vertices
         assert len(ys) == 2
         assert ys[0] == [A[0, 2], A[1, 2], TropScalar(0), INF]
@@ -87,14 +115,14 @@ class TestBlocks:
     def test_singleton_link_paw(self):
         A = paw_matrix(1, 2)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1, 2), (3,)]))
-        [z] = singleton_link_block(A, plan)
+        [z] = _block(singleton_link_block, A, plan)
         assert z == _vec([1, 2, 0, 0])
 
     def test_link_counts(self):
         G = PatternGraph(5, [(0, 1)])
         A = generate_instance(G, seed=2)
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2,), (3,), (4,)]))
-        assert len(singleton_link_block(A, plan)) == 3
+        assert len(_block(singleton_link_block, A, plan)) == 3
 
 
 class TestInputCoordinates:
@@ -248,7 +276,9 @@ class TestTail:
             ]
         )
         plan = make_block_plan(pattern_graph(A), CliqueCover([(0, 1), (2,), (3,), (4,)]))
-        tail, mode = singleton_tail_block(A, plan, False)
+        rows, _, scale = scaled_rows(A)
+        tail, mode = singleton_tail_block(rows, plan, False)
+        tail = _scalars(tail, scale)
         assert mode == TAIL_CLOSED
         assert tail == [
             _vec(["inf", "inf", 0, 1, "inf"]),
@@ -296,13 +326,14 @@ def merge_inputs(draw):
 
 
 class TestMergePass:
-    """The integer merge pass against the TropScalar reference."""
+    """The integer merge pass against the TropScalar reference, on the
+    `scaled_rows` grid of the matrix and vectors."""
 
     @settings(max_examples=300, deadline=None)
     @given(merge_inputs())
     def test_same_vectors_as_the_reference(self, case):
         B, vectors = case
-        assert _merge_pass(B, vectors) == reference_merge_pass(B, vectors)
+        assert _merge(B, vectors) == reference_merge_pass(B, vectors)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_same_tail_as_the_reference_on_sparse_instances(self, seed):
@@ -318,7 +349,7 @@ class TestMergePass:
                     vec = [INF] * n
                     vec[p], vec[q] = TropScalar(0), C[p, q]
                     vectors.append(vec)
-        merged = _merge_pass(C, vectors)
+        merged = _merge(C, vectors)
         assert merged == reference_merge_pass(C, vectors)
         assert len(merged) < len(vectors)
 
@@ -331,7 +362,7 @@ class TestMergePass:
             [INF, third, TropScalar(Fraction(5, 3))],
             _vec(["inf", 0, 1]),
         ]
-        assert _merge_pass(B, vectors) == reference_merge_pass(B, vectors)
+        assert _merge(B, vectors) == reference_merge_pass(B, vectors)
 
 
 class TestConstruct:
@@ -428,3 +459,91 @@ class TestLiftedWrapper:
         dec = decompose_cp(A)
         assert dec.target == A
         assert verify_decomposition(dec)
+
+
+class TestPreparedInstance:
+    """`decompose_cp` and `tropcp bound` prepare their input once: one CP
+    check, which is the one grid pass of the input, and for decompose one
+    verification, against the input itself."""
+
+    INPUTS = (
+        SymTropMatrix.from_rows([["inf"] * 3, ["inf", 1, 2], ["inf", 2, 3]]),
+        dressed(paw_matrix(1, 2), 5),
+        dressed(random_cp_matrix(9, 3), 6),
+        dressed(generate_instance(PatternGraph.empty(4), 2, max_numerator=4, max_denominator=2), 7),
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # first arguments of each call, by name, in every module holding the
+        # name; the verifier's own grid pass in tropcp.core is counted as its
+        # is_exact_decomposition call
+        calls: dict[str, list] = {}
+
+        def record(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.setdefault(name, []).append(args[0])
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        names = ("_zero_diagonal", "scaled_rows", "normalize", "lift_decomposition")
+        for mod in (analysis_mod, graphs_mod, rank_mod, decompose_mod, cli_mod):
+            for name in (*names, "require_normalized"):
+                if hasattr(mod, name):
+                    record(mod, name)
+        record(core_mod, "is_exact_decomposition")
+        return calls
+
+    def test_inputs_cover_an_inf_row_an_odd_diagonal_and_a_tail_search(self):
+        diagonals = [[A[i, i] for i in range(A.n)] for A in self.INPUTS]
+        assert all(INF in d for d in diagonals)
+        odd = [[e for e in d if e != INF and e.finite % 2 == 1] for d in diagonals]
+        assert all(odd)
+        assert decompose_cp_detailed(self.INPUTS[-1])[1][2] == TAIL_SEARCH
+
+    def test_one_grid_pass_and_one_verification_per_decompose(self, calls):
+        for A in self.INPUTS:
+            calls.clear()
+            dec = decompose_cp(A)
+            assert calls.pop("_zero_diagonal") == [A]
+            assert calls.pop("scaled_rows") == [A]
+            (target,) = calls.pop("is_exact_decomposition")
+            assert target is A and dec.target is A
+            # no normalize, lift or normalization check besides the one pass
+            assert calls == {}
+
+    def test_one_grid_pass_per_bound_command(self, calls, tmp_path, capsys):
+        for A in self.INPUTS:
+            path = tmp_path / "a.tmat"
+            path.write_text(render_matrix(A))
+            calls.clear()
+            assert cli_mod.main(["bound", str(path)]) == 0
+            capsys.readouterr()
+            (parsed,) = calls.pop("_zero_diagonal")
+            assert parsed == A
+            assert calls.pop("scaled_rows") == [parsed]
+            assert calls == {}
+
+
+class TestLiftedCertificate:
+    def test_decompose_cp_matches_the_normalized_path(self):
+        # the instance's lift against the record's, on inputs that are not
+        # normalized: same partition, counts, tail mode and factors
+        modes = {TAIL_EMPTY: 0, TAIL_CLOSED: 0, TAIL_PAIRS: 0, TAIL_SEARCH: 0}
+        for seed in range(60):
+            n = 2 + seed % 8
+            G = random_pattern_graph(n, seed, (0.1, 0.3, 0.6)[seed % 3])
+            C = generate_instance(G, 2000 + seed, max_numerator=4, inf_probability=0.2 * (seed % 2))
+            A = dressed(C, seed)
+            dec, details = decompose_cp_detailed(A)
+            C, record = normalize(A)
+            cover, _ = min_cover_bound(pattern_graph(C))
+            reference, ref_details = construct_decomposition_detailed(C, cover)
+            assert details == ref_details, seed
+            assert dec == lift_decomposition(reference, record), seed
+            assert dec.target is A
+            modes[details[2]] += 1
+        assert min(modes.values()) >= 5, modes

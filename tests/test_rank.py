@@ -56,6 +56,7 @@ from oracles import (
     _finite_offdiag_requirements,
     _search_skeleton,
     brute_cp_rank,
+    dressed,
     reference_solve_factor_system,
     skeleton_cp_rank_leq,
     witness_vector,
@@ -617,24 +618,6 @@ class TestSearchCounters:
         ]
 
 
-def _dressed(C: SymTropMatrix, seed: int) -> SymTropMatrix:
-    """C with each row shifted by a seeded half-integer s_i (a_ij + s_i + s_j,
-    so an odd diagonal where C's is 0) and up to two all-inf rows inserted at
-    seeded places; the normalized form of the result is that of C."""
-    rng = random.Random(seed)
-    n = C.n + rng.randrange(3)
-    where = {p: k for k, p in enumerate(sorted(rng.sample(range(n), C.n)))}
-    shift = [Fraction(rng.randrange(-7, 8), 2) for _ in range(C.n)]
-
-    def entry(i, j):
-        if i not in where or j not in where:
-            return INF
-        k, l = where[i], where[j]
-        return C[k, l] * TropScalar(shift[k] + shift[l])
-
-    return SymTropMatrix.from_upper_func(n, entry)
-
-
 def _normalized_path(A: SymTropMatrix):
     """The sweep of `cp_rank_exact` run on normalize(A) through the public
     calls, its certificate lifted with the record: (rank, refuted, nodes,
@@ -660,10 +643,10 @@ class TestLiftedCertificate:
             n = 3 + seed % 4
             if seed % 3 == 1:
                 G = random_pattern_graph(n, seed, 0.2 + 0.1 * (seed % 4))
-                A = _dressed(generate_instance(G, 1000 + seed, max_numerator=3), seed)
+                A = dressed(generate_instance(G, 1000 + seed, max_numerator=3), seed)
             else:
                 A = random_cp_matrix(n, seed)
-                A = _dressed(A, seed) if seed % 3 == 2 else A
+                A = dressed(A, seed) if seed % 3 == 2 else A
             rank, cert = cp_rank_exact(A)
             got = (rank, list(cert.refuted), cert.stats.nodes, cert.decomposition)
             assert got == _normalized_path(A), seed
