@@ -6,17 +6,18 @@ be shifted to zero diagonal (deleting all-infinite rows first) without
 changing its CP-rank; the shift data is kept in a NormalizationRecord so
 the transform is exactly invertible.
 
-All of it computes on the integer grid of `core.scaled_rows`; one pass,
-`_zero_diagonal`, serves the CP check, `normalize`, the rank-one test and
-`rank._Instance`.  `TropScalar`s are built only for what is returned.
+All of it computes on the integer grid of `core.scaled_rows`: one pass,
+`_zero_diagonal`, yields the normalized matrix's rows on it, which the CP
+check, `normalize`, the rank-one test, the one normalized-input gate
+`require_normalized` and `rank._Instance` read.  `TropScalar`s are built
+only for what is returned, and the record's inverse adds the shifts to them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .core import (
     INF,
@@ -25,7 +26,6 @@ from .core import (
     SymTropMatrix,
     TropScalar,
     TropVector,
-    on_grid,
     scaled_rows,
 )
 
@@ -34,32 +34,36 @@ class NotCompletelyPositiveError(ValueError):
     """Raised when an operation requires a completely positive matrix."""
 
 
-def _zero_diagonal(
-    A: SymTropMatrix,
-) -> Optional[tuple[list[Optional[int]], list[tuple[int, int]], int]]:
-    """A's normalized upper triangle on its grid, or None when A is not CP.
+# `_zero_diagonal`'s pass: the normalized rows, the survivors and the scale
+ZeroDiagonal = tuple[list[list[Optional[int]]], list[tuple[int, int]], int]
 
-    Returns 2*a_ij - a_ii - a_jj row by row over the survivors (the rows with
-    a finite diagonal), each survivor with its a_ii, and the `scaled_rows`
-    scale.  A is CP iff no entry is negative and no row with an infinite
-    diagonal has a finite entry."""
+
+def _zero_diagonal(A: SymTropMatrix) -> Optional[ZeroDiagonal]:
+    """A's normalized rows on its grid, or None when A is not CP.
+
+    Returns the rows of 2*a_ij - a_ii - a_jj over the survivors (the rows
+    with a finite diagonal), each survivor with its a_ii, and the
+    `scaled_rows` scale.  A is CP iff no entry is negative and no row with
+    an infinite diagonal has a finite entry."""
     rows, _, scale = scaled_rows(A)
     if any(v is not None for i, row in enumerate(rows) if row[i] is None for v in row):
         return None
     survivors = [(i, row[i]) for i, row in enumerate(rows) if row[i] is not None]
-    upper: list[Optional[int]] = []
+    C: list[list[Optional[int]]] = []
     for p, (i, d_i) in enumerate(survivors):
+        row, grid_row = [c[p] for c in C], rows[i]
         for j, d_j in survivors[p:]:
-            v = rows[i][j]
+            v = grid_row[j]
             if v is not None:
                 v = 2 * v - d_i - d_j
                 if v < 0:
                     return None
-            upper.append(v)
-    return upper, survivors, scale
+            row.append(v)
+        C.append(row)
+    return C, survivors, scale
 
 
-def _normalizable(A: SymTropMatrix) -> tuple[list[Optional[int]], list[tuple[int, int]], int]:
+def _normalizable(A: SymTropMatrix) -> ZeroDiagonal:
     """`_zero_diagonal(A)`; raises when A is not CP or every diagonal entry
     is infinite, the inputs that have no normalized matrix."""
     zero_diagonal = _zero_diagonal(A)
@@ -68,10 +72,6 @@ def _normalizable(A: SymTropMatrix) -> tuple[list[Optional[int]], list[tuple[int
     if not zero_diagonal[1]:
         raise ValueError("every diagonal entry is infinite; the normalized matrix would be empty")
     return zero_diagonal
-
-
-def _scalar(value: Optional[int], scale: int) -> TropScalar:
-    return INF if value is None else TropScalar(Fraction(value, scale))
 
 
 def is_completely_positive(A: SymTropMatrix) -> bool:
@@ -84,15 +84,21 @@ def require_cp(A: SymTropMatrix) -> None:
         raise NotCompletelyPositiveError("matrix is not completely positive")
 
 
+def require_normalized(A: SymTropMatrix) -> ZeroDiagonal:
+    """A's `_zero_diagonal` pass when A is normalized (zero diagonal, entries
+    >= 0), whose rows are then twice A's on its grid; raises ValueError otherwise."""
+    zero_diagonal = _zero_diagonal(A)  # normalized: CP, every diagonal entry 0
+    if zero_diagonal is None or [d for _, d in zero_diagonal[1]] != [0] * A.n:
+        raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
+    return zero_diagonal
+
+
 def is_normalized(A: SymTropMatrix) -> bool:
     """Zero diagonal and nonnegative (or infinite) off-diagonal entries."""
-    rows = scaled_rows(A)[0]
-    return all(row[i] == 0 and all(v is None or v >= 0 for v in row) for i, row in enumerate(rows))
-
-
-def require_normalized(A: SymTropMatrix) -> None:
-    if not is_normalized(A):
-        raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
+    try:
+        return bool(require_normalized(A))
+    except ValueError:
+        return False
 
 
 def _rank_one_factor(A: SymTropMatrix) -> Optional[TropVector]:
@@ -103,12 +109,12 @@ def _rank_one_factor(A: SymTropMatrix) -> Optional[TropVector]:
     zero_diagonal = _zero_diagonal(A)
     if zero_diagonal is None:
         raise NotCompletelyPositiveError("matrix is not completely positive")
-    upper, survivors, scale = zero_diagonal
-    if any(v != 0 for v in upper):
+    rows, survivors, scale = zero_diagonal
+    if any(v != 0 for row in rows for v in row):
         return None
-    b = [INF] * A.n
+    b: list[Optional[Fraction]] = [None] * A.n
     for i, d in survivors:
-        b[i] = _scalar(d, 2 * scale)
+        b[i] = Fraction(d, 2 * scale)
     return TropVector(b)
 
 
@@ -146,22 +152,17 @@ class NormalizationRecord:
     def shift_of(self, original_index: int) -> Fraction:
         return dict(self.shifts)[original_index]
 
-    def _grid(self, values: Iterable[TropScalar]) -> tuple[list[int], list[Optional[int]], int]:
-        """The shifts and the values on one grid, and its scale."""
-        rationals = (None if x.is_inf else x.finite for x in values)
-        grid, scale = on_grid(itertools.chain((s for _, s in self.shifts), rationals))
-        return grid[: len(self.shifts)], grid[len(self.shifts) :], scale
-
     def restore_matrix(self, C: SymTropMatrix) -> SymTropMatrix:
         """Rebuild the original matrix from its normalized form."""
         if C.n != len(self.shifts):
             raise ValueError("normalized matrix does not match this record")
-        shift, entries, scale = self._grid(itertools.chain.from_iterable(C.rows()))
-        pos = {orig: p for p, (orig, _) in enumerate(self.shifts)}
+        pos = {orig: (p, s) for p, (orig, s) in enumerate(self.shifts)}
 
         def entry(i: int, j: int) -> TropScalar:
-            v = entries[pos[i] * C.n + pos[j]] if i in pos and j in pos else None
-            return INF if v is None else _scalar(v + shift[pos[i]] + shift[pos[j]], scale)
+            if i not in pos or j not in pos:
+                return INF
+            (p, s), (q, t) = pos[i], pos[j]
+            return C[p, q] * (s + t)
 
         return SymTropMatrix.from_upper_func(self.n, entry)
 
@@ -172,20 +173,12 @@ class NormalizationRecord:
         inserting infinity at deleted ones) turns a factor of the normalized
         matrix into a factor of the original.
         """
-        return self._lift([c])[0]
-
-    def _lift(self, factors: Sequence[TropVector]) -> list[TropVector]:
-        """`lift_factor` of each factor, all on one grid."""
-        if any(len(c) != len(self.shifts) for c in factors):
+        if len(c) != len(self.shifts):
             raise ValueError("factor length does not match this record")
-        shift, values, scale = self._grid(itertools.chain.from_iterable(factors))
-        lifted = []
-        for k in range(0, len(values), len(shift)):
-            entries: list[TropScalar] = [INF] * self.n
-            for (orig, _), s, v in zip(self.shifts, shift, values[k : k + len(shift)]):
-                entries[orig] = INF if v is None else _scalar(v + s, scale)
-            lifted.append(TropVector(entries))
-        return lifted
+        b = [INF] * self.n
+        for (orig, s), x in zip(self.shifts, c):
+            b[orig] = x * s
+        return TropVector(b)
 
 
 def normalize(A: SymTropMatrix) -> tuple[SymTropMatrix, NormalizationRecord]:
@@ -195,8 +188,11 @@ def normalize(A: SymTropMatrix) -> tuple[SymTropMatrix, NormalizationRecord]:
     off-diagonal entries; the returned record inverts the transform exactly
     and carries factor lifting.  CP-rank is unchanged by this transform.
     """
-    upper, survivors, scale = _normalizable(A)
-    C = SymTropMatrix(len(survivors), [_scalar(v, 2 * scale) for v in upper])
+    rows, survivors, scale = _normalizable(A)
+    upper = [
+        None if v is None else Fraction(v, 2 * scale) for p, row in enumerate(rows) for v in row[p:]
+    ]
+    C = SymTropMatrix(len(rows), upper)
     deleted = tuple(sorted(set(range(A.n)) - {i for i, _ in survivors}))
     shifts = tuple((i, Fraction(d, 2 * scale)) for i, d in survivors)
     return C, NormalizationRecord(A.n, deleted, shifts)
@@ -204,7 +200,7 @@ def normalize(A: SymTropMatrix) -> tuple[SymTropMatrix, NormalizationRecord]:
 
 def lift_decomposition(d: Decomposition, record: NormalizationRecord) -> Decomposition:
     """Turn a decomposition of the normalized matrix into one of the original."""
-    return Decomposition(record.restore_matrix(d.target), record._lift(d.factors))
+    return Decomposition(record.restore_matrix(d.target), map(record.lift_factor, d.factors))
 
 
 def support(A: SymTropMatrix) -> SymTropMatrix:

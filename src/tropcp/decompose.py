@@ -38,7 +38,7 @@ from .graphs import (
     # unused here but kept: perfbench/layers.py patches it on this module to time spans
     pattern_graph,  # noqa
 )
-from .rank import SearchStats, _Budget, _Guard, _Instance, _prepared, _search, prepare_instance
+from .rank import _Instance, _prepared, _solve, prepare_instance
 
 # grid rows and vectors on them, None for inf
 Rows = list[list[Optional[int]]]
@@ -233,17 +233,14 @@ def _tail_exact_search(D: Rows, singles: Sequence[int], target: int) -> Optional
     the submatrix holds all its finite entries.  Its witnesses, twice their
     coordinates on C's grid, are on D's grid and infinite off the singletons.
     """
-    keep, m = set(singles), len(D)
-    upper = [
-        D[p][q] // 2 if p in keep and q in keep and D[p][q] is not None else None
-        for p in range(m)
-        for q in range(p, m)
-    ]
-    sub = _Instance(None, (upper, [(p, 0) for p in range(m)], 1))
-    try:
-        return _search(sub, target, _Budget(TAIL_SEARCH_NODES, 60.0), SearchStats())
-    except _Guard:
-        return None
+    m = len(D)
+    C: Rows = [[None] * m for _ in range(m)]
+    for p in singles:
+        for q in singles:
+            if D[p][q] is not None:
+                C[p][q] = D[p][q] // 2
+    sub = _Instance(None, (C, [(p, 0) for p in range(m)], 1))
+    return _solve(sub, target, TAIL_SEARCH_NODES, 60.0)[1]
 
 
 def construct_decomposition(A: SymTropMatrix | _Instance, cover: CliqueCover) -> Decomposition:

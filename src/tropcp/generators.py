@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from .core import Rationalish, SymTropMatrix
-from .graphs import PatternGraph
+from .graphs import CliqueCover, PatternGraph
 
 
 def generate_instance(
@@ -73,10 +73,8 @@ def random_cp_matrix(n: int, seed: int, max_value: int = 4) -> SymTropMatrix:
     return SymTropMatrix(n, upper)
 
 
-def random_clique_cover(G: PatternGraph, seed: int):
+def random_clique_cover(G: PatternGraph, seed: int) -> CliqueCover:
     """A random valid vertex clique cover (a partition into cliques) of G."""
-    from .graphs import CliqueCover
-
     rng = random.Random(seed)
     remaining = set(range(G.n))
     parts = []

@@ -440,8 +440,7 @@ def cp_rank_upper_bound(A: SymTropMatrix) -> int:
     The small empty pattern (`is_small_empty_pattern`) bypasses the cover
     bound with the dimension.
     """
-    require_normalized(A)
-    G = pattern_graph(A)
+    G = pattern_graph(require_normalized(A)[0])
     if is_small_empty_pattern(G):
         return G.n
     return min_cover_bound(G)[1]

@@ -29,11 +29,13 @@ is refuted without a search.  The conflict graph also prunes the one
 search that assigns every finite entry (`_search`).
 
 `cp_rank_exact` prepares the input once (`_Instance`, from its one
-`analysis._zero_diagonal` pass): the normalized grid, which keeps the
+`analysis._zero_diagonal` pass): the normalized grid rows, which keep the
 CP-rank, and the lift, which turns the integer witnesses into factors of
-the input; the certificate is verified once, against the input.  The
-search is complete, so an exhausted search proves CP-rank > r; a resource
-guard that interrupts it is reported as undetermined, never as a refutation.
+the input; the certificate is verified once, against the input.  A
+normalized input's pass comes from the one gate, `require_normalized`.
+`_solve` runs the search for `cp_rank_leq` and the decompose tail; it is
+complete, so an exhausted search proves CP-rank > r, and a resource guard
+that interrupts it reports undetermined, never a refutation.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .analysis import _normalizable, _zero_diagonal
+from .analysis import _normalizable, _zero_diagonal, require_normalized
 # unused here but kept: perfbench/layers.py patches them on this module to time spans
 from .analysis import is_completely_positive, lift_decomposition, normalize  # noqa
 from .core import Decomposition, SymTropMatrix, TropScalar, TropVector, on_grid
@@ -410,22 +412,18 @@ class _FactorBuild(_Utvpi):
 
 class _Instance:
     """A CP matrix A prepared once from its `analysis._zero_diagonal` pass:
-    the normalized matrix (it keeps A's CP-rank) as grid rows C with
+    the normalized matrix (it keeps A's CP-rank) as the pass's rows C with
     C / `scale` its entries, and the lift to A, `lift` (each row of A with a
     finite diagonal, and that diagonal times scale / 2), the identity when A
     is normalized.  Also C's pattern graph G and finite entries (i <= j),
     their conflict rows and fooling clique (built on first use).  The public
     bounds, `cp_rank_leq` and the decompose construction take one in place
-    of A.  A is None on the decompose tail's instance, which only `_search` reads.
+    of A.  A is None on the decompose tail's instance, which only `_solve` reads.
     """
 
     def __init__(self, A: SymTropMatrix, zero_diagonal) -> None:
-        upper, self.lift, scale = zero_diagonal
-        m, stored = len(self.lift), iter(upper)
-        C: list[list[Optional[int]]] = []
-        for p in range(m):
-            C.append([row[p] for row in C] + [next(stored) for _ in range(p, m)])
-        self.A, self.C, self.scale = A, C, 2 * scale
+        C, self.lift, scale = zero_diagonal
+        self.A, self.C, self.scale, m = A, C, 2 * scale, len(C)
         self.G = pattern_graph(C)
         self.entries = [(i, j) for i in range(m) for j in range(i, m) if C[i][j] is not None]
         self._fooling: Optional[list[int]] = None
@@ -465,12 +463,7 @@ class _Instance:
 
 def _prepared(A: SymTropMatrix | _Instance) -> _Instance:
     """A itself, or the instance (identity lift) of a normalized matrix A."""
-    if isinstance(A, _Instance):
-        return A
-    zero_diagonal = _zero_diagonal(A)  # normalized: CP, every diagonal entry 0
-    if zero_diagonal is None or [d for _, d in zero_diagonal[1]] != [0] * A.n:
-        raise ValueError("matrix is not normalized (zero diagonal, entries >= 0)")
-    return _Instance(A, zero_diagonal)
+    return A if isinstance(A, _Instance) else _Instance(A, require_normalized(A))
 
 
 def prepare_instance(A: SymTropMatrix) -> _Instance:
@@ -560,6 +553,29 @@ def _search(
     return rec((1 << len(reqs)) - 1, 0, [])
 
 
+def _check_limits(**limits: Optional[float]) -> None:
+    """Raise ValueError unless each limit is None or >= 0 (NaN fails too)."""
+    for name, value in limits.items():
+        if value is not None and not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _solve(
+    P: _Instance, r: int, node_limit: int, timeout_s: float
+) -> tuple[str, Optional[list[list[Optional[int]]]], SearchStats]:
+    """`_search` for r factors under the limits, the timeout covering the
+    conflict graph and fooling clique: (status, witnesses or None, stats)."""
+    budget, stats, start = _Budget(node_limit, timeout_s), SearchStats(), time.monotonic()
+    try:
+        witnesses = _search(P, r, budget, stats)
+        status = REFUTED if witnesses is None else FOUND
+    except _Guard:
+        status, witnesses = UNDETERMINED, None
+    stats.nodes = budget.nodes
+    stats.wall_time = time.monotonic() - start
+    return status, witnesses, stats
+
+
 def cp_rank_leq(
     A: SymTropMatrix,
     r: int,
@@ -572,24 +588,17 @@ def cp_rank_leq(
     input; factors the search never touched are dropped), a complete
     refutation after exhausting every assignment, or an undetermined report
     when the node limit or timeout (which covers building the conflict
-    graph and fooling clique) was hit first.  `nodes` counts the root and every push; the clock is read at
-    the root and every 1,024 nodes after it.
+    graph and fooling clique) was hit first.  `nodes` counts the root and
+    every push; the clock is read at the root and every 1,024 nodes after
+    it.  A negative `node_limit`, or a negative or NaN `timeout_s`, raises
+    ValueError.
     """
-    budget = _Budget(node_limit, timeout_s)
+    _check_limits(node_limit=node_limit, timeout_s=timeout_s)
     P = _prepared(A)
     if r < 1:
         raise ValueError("r must be >= 1")
-    stats = SearchStats()
-    start = time.monotonic()
-    status, dec = REFUTED, None
-    try:
-        vectors = _search(P, r, budget, stats)
-        if vectors is not None:
-            status, dec = FOUND, Decomposition(P.A, [P.factor(x2) for x2 in vectors])
-    except _Guard:
-        status = UNDETERMINED
-    stats.nodes = budget.nodes
-    stats.wall_time = time.monotonic() - start
+    status, witnesses, stats = _solve(P, r, node_limit, timeout_s)
+    dec = None if witnesses is None else Decomposition(P.A, [P.factor(x2) for x2 in witnesses])
     return RankSearchOutcome(status, r, dec, stats)
 
 
@@ -669,7 +678,9 @@ def fooling_set_bound(
 
     After `timeout_s` the clique search stops and the largest conflicting
     set found so far is returned: a smaller bound, but still a sound one.
+    A negative or NaN `timeout_s` raises ValueError.
     """
+    _check_limits(timeout_s=timeout_s)
     deadline = time.monotonic() + timeout_s
     P = _prepared(A)
     fooling = tuple(P.entries[v] for v in P.fooling(deadline))
@@ -718,9 +729,7 @@ def cp_rank_exact(
     `r_max` or `node_limit`, or a negative or NaN `timeout_s`, raises
     ValueError.
     """
-    for name, value in (("r_max", r_max), ("node_limit", node_limit), ("timeout_s", timeout_s)):
-        if value is not None and not value >= 0:  # NaN fails too
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    _check_limits(r_max=r_max, node_limit=node_limit, timeout_s=timeout_s)
     deadline = time.monotonic() + timeout_s
     stats = SearchStats()
     zero_diagonal = _zero_diagonal(A)
@@ -738,8 +747,8 @@ def cp_rank_exact(
     refuted_by = ["bound"] * len(refuted)
     r, dec = lower + len(refuted), None
     while r <= r_max:
-        left = node_limit - stats.nodes
-        outcome = cp_rank_leq(P, r, node_limit=left, timeout_s=deadline - time.monotonic())
+        left, left_s = node_limit - stats.nodes, max(0.0, deadline - time.monotonic())
+        outcome = cp_rank_leq(P, r, node_limit=left, timeout_s=left_s)
         stats.merge(outcome.stats)
         if not outcome.refuted:
             dec = outcome.decomposition

@@ -368,6 +368,7 @@ GOLDEN_FILES = {
     "paw.tmat": render_matrix(paw_matrix(1, 2)),
     "r6.tmat": render_matrix(rank_six_5x5()),
     "shift.tmat": "3\n0 1 1\n1 1 1\n1 1 1\n",
+    "odd.tmat": "3\ninf inf inf\ninf 1 2\ninf 2 3\n",
     "notcp.tmat": "2\n0 -1\n-1 0\n",
     "inf.tmat": "2\ninf inf\ninf inf\n",
     "asym.tmat": "2\n0 1\n2 0\n",
@@ -395,6 +396,13 @@ GOLDEN_CASES = [
     "rank notcp.tmat",
     "rank inf.tmat",
     "rank paw.tmat --threads 2",
+    # inputs that are not normalized: a shifted diagonal, and an inf row with odd diagonals
+    "rank shift.tmat",
+    "bound shift.tmat",
+    "decompose shift.tmat",
+    "rank odd.tmat",
+    "bound odd.tmat",
+    "decompose odd.tmat",
     "cc paw.tgraph",
     "witness p4.tgraph 1 4",
     "witness p4.tgraph 1 4 --raw",

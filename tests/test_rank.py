@@ -789,6 +789,90 @@ class TestPreparedInstance:
         assert adj is adj2 and reqs is reqs2
 
 
+class TestNormalizedGate:
+    """`analysis.require_normalized` is the one check of a normalized input:
+    one `_zero_diagonal` grid pass, which every entry point that takes a
+    normalized matrix reads instead of gridding its input again."""
+
+    INPUTS = (
+        paw_matrix(1, 2),
+        rank_six_5x5(),
+        flat_3x3_normalized(),
+        generate_instance(random_pattern_graph(9, 3, 0.3), 5, inf_probability=0.2),
+    )
+    ENTRY_POINTS = {
+        "cp_rank_upper_bound": cp_rank_upper_bound,
+        "is_normalized": analysis_mod.is_normalized,
+        "require_normalized": analysis_mod.require_normalized,
+        "cp_rank_leq": lambda A: cp_rank_leq(A, 2),
+        "rank_lower_bound": rank_lower_bound,
+        "fooling_set_bound": fooling_set_bound,
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # first arguments of each grid pass, in every module holding the name
+        # (the verifier's own pass in tropcp.core is not counted)
+        calls: dict[str, list] = {}
+
+        def record(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.setdefault(name, []).append(args[0])
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        for mod in (analysis_mod, graphs_mod, rank_mod):
+            for name in ("_zero_diagonal", "scaled_rows"):
+                if hasattr(mod, name):
+                    record(mod, name)
+        return calls
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_one_grid_pass_per_call(self, calls, name):
+        for A in self.INPUTS:
+            calls.clear()
+            self.ENTRY_POINTS[name](A)
+            assert calls == {"_zero_diagonal": [A], "scaled_rows": [A]}
+
+    def test_gates_accept_and_reject_the_same_inputs(self):
+        def outcome(f, A):
+            try:
+                f(A)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        rng = random.Random(24)
+        kinds = {"normalized": 0, "shifted": 0, "negative": 0, "inf-diagonal": 0}
+        for seed in range(80):
+            n = rng.randint(1, 6)
+            A = generate_instance(random_pattern_graph(n, seed, 0.4), seed, inf_probability=0.3)
+            kind = rng.choice(list(kinds))
+            i, j = rng.randrange(n), rng.randrange(n)
+            if kind == "shifted":
+                A = dressed(A, seed)
+            elif kind == "negative":
+                A = SymTropMatrix.from_upper_func(
+                    n, lambda a, b: TropScalar(-1) if {a, b} == {i, j} else A[a, b]
+                )
+            elif kind == "inf-diagonal":
+                # row i all inf (CP), or only its diagonal (finite entries: not CP)
+                whole = rng.random() < 0.5
+                A = SymTropMatrix.from_upper_func(
+                    n, lambda a, b: INF if a == b == i or (whole and i in (a, b)) else A[a, b]
+                )
+            kinds[kind] += 1
+            gate = outcome(analysis_mod.require_normalized, A)
+            assert outcome(rank_mod._prepared, A) == gate
+            assert analysis_mod.is_normalized(A) == (gate is None)
+            assert gate in (None, (ValueError, "matrix is not normalized (zero diagonal, entries >= 0)"))
+            assert (gate is None) == (kind == "normalized")
+        assert min(kinds.values()) > 0
+
+
 class TestBounds:
     def test_rank_six_lower_bound(self):
         assert rank_lower_bound(rank_six_5x5()) == 5
@@ -883,6 +967,48 @@ class TestGuards:
             size, entries = fooling_set_bound(A, timeout_s=timeout_s)
             assert size == len(entries) < 32
             assert all(_conflict(C, e, f) for e, f in itertools.combinations(entries, 2))
+
+    @pytest.mark.parametrize(
+        "guards, message",
+        [
+            ({"node_limit": -1}, "node_limit must be >= 0"),
+            ({"timeout_s": -1.0}, "timeout_s must be >= 0"),
+            ({"timeout_s": math.nan}, "timeout_s must be >= 0"),
+        ],
+    )
+    def test_decision_rejects_negative_or_nan_guards(self, guards, message):
+        # a NaN deadline would never fire: `time.monotonic() > nan` is False
+        with pytest.raises(ValueError, match=message):
+            cp_rank_leq(rank_six_5x5(), 5, **guards)
+
+    @pytest.mark.parametrize("timeout_s", [-1.0, math.nan])
+    def test_fooling_set_bound_rejects_negative_or_nan_timeout(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be >= 0"):
+            fooling_set_bound(rank_six_5x5(), timeout_s=timeout_s)
+
+    def test_zero_guards_accepted_by_the_decision_and_the_bound(self):
+        for guards in ({"node_limit": 0}, {"timeout_s": 0.0}):
+            assert cp_rank_leq(rank_six_5x5(), 6, **guards).status == "undetermined"
+        size, entries = fooling_set_bound(rank_six_5x5(), timeout_s=0.0)
+        assert size == len(entries) <= 6
+
+    def test_sweep_out_of_time_between_two_r_is_undetermined(self, monkeypatch):
+        # r = 6 is refuted by a search; the deadline passes before r = 7,
+        # which then gets a zero timeout, not a negative one
+        timeouts = []
+        leq = rank_mod.cp_rank_leq
+
+        def late(P, r, node_limit, timeout_s):
+            timeouts.append(timeout_s)
+            outcome = leq(P, r, node_limit=node_limit, timeout_s=timeout_s)
+            time.sleep(0.3)
+            return outcome
+
+        monkeypatch.setattr(rank_mod, "cp_rank_leq", late)
+        rank, cert = cp_rank_exact(n7_p03_349(), timeout_s=0.2)
+        assert (rank, cert.status, cert.undetermined_at) == (None, "undetermined", 7)
+        assert cert.refuted_by == ("bound", "search")
+        assert len(timeouts) == 2 and 0 < timeouts[0] <= 0.2 and timeouts[1] == 0.0
 
     def test_exact_sweep_shares_one_node_limit(self):
         # r = 6 is refuted in 12 nodes and r = 7 found in 29: each fits the
