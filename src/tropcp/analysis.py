@@ -8,9 +8,10 @@ the transform is exactly invertible.
 
 All of it computes on the integer grid of `core.scaled_rows`: one pass,
 `_zero_diagonal`, yields the normalized matrix's rows on it, which the CP
-check, `normalize`, the rank-one test, the one normalized-input gate
-`require_normalized` and `rank._Instance` read.  `TropScalar`s are built
-only for what is returned, and the record's inverse adds the shifts to them.
+check, the one CP gate `_cp_pass`, `normalize`, the rank-one test, the one
+normalized-input gate `require_normalized` and `rank._Instance` read.
+`TropScalar`s are built only for what is returned, and the record's
+inverse adds the shifts to them.
 """
 
 from __future__ import annotations
@@ -63,12 +64,19 @@ def _zero_diagonal(A: SymTropMatrix) -> Optional[ZeroDiagonal]:
     return C, survivors, scale
 
 
-def _normalizable(A: SymTropMatrix) -> ZeroDiagonal:
-    """`_zero_diagonal(A)`; raises when A is not CP or every diagonal entry
-    is infinite, the inputs that have no normalized matrix."""
+def _cp_pass(A: SymTropMatrix) -> ZeroDiagonal:
+    """`_zero_diagonal(A)`, the one CP gate: raises NotCompletelyPositiveError
+    when A is not CP."""
     zero_diagonal = _zero_diagonal(A)
     if zero_diagonal is None:
         raise NotCompletelyPositiveError("matrix is not completely positive")
+    return zero_diagonal
+
+
+def _normalizable(A: SymTropMatrix) -> ZeroDiagonal:
+    """`_zero_diagonal(A)`; raises when A is not CP or every diagonal entry
+    is infinite, the inputs that have no normalized matrix."""
+    zero_diagonal = _cp_pass(A)
     if not zero_diagonal[1]:
         raise ValueError("every diagonal entry is infinite; the normalized matrix would be empty")
     return zero_diagonal
@@ -80,8 +88,7 @@ def is_completely_positive(A: SymTropMatrix) -> bool:
 
 
 def require_cp(A: SymTropMatrix) -> None:
-    if not is_completely_positive(A):
-        raise NotCompletelyPositiveError("matrix is not completely positive")
+    _cp_pass(A)
 
 
 def require_normalized(A: SymTropMatrix) -> ZeroDiagonal:
@@ -106,10 +113,7 @@ def _rank_one_factor(A: SymTropMatrix) -> Optional[TropVector]:
 
     b_i = a_ii / 2 works exactly when the normalized matrix is all zero.
     """
-    zero_diagonal = _zero_diagonal(A)
-    if zero_diagonal is None:
-        raise NotCompletelyPositiveError("matrix is not completely positive")
-    rows, survivors, scale = zero_diagonal
+    rows, survivors, scale = _cp_pass(A)
     if any(v != 0 for row in rows for v in row):
         return None
     b: list[Optional[Fraction]] = [None] * A.n

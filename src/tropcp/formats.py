@@ -41,28 +41,38 @@ def parse_matrix(text: str) -> SymTropMatrix:
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
+    parsed: dict[str, TropScalar] = {}  # each distinct token once; scalars are immutable
     for r, line in enumerate(lines[1:], start=1):
         tokens = line.split()
         if len(tokens) != n:
             raise ParseError(f"row {r} has {len(tokens)} entries, expected {n}")
-        rows.append(
-            [_parse_token(t, f"row {r}, column {c}") for c, t in enumerate(tokens, 1)]
-        )
+        row = []
+        for c, t in enumerate(tokens, 1):
+            e = parsed.get(t)
+            if e is None:
+                e = parsed[t] = _parse_token(t, f"row {r}, column {c}")
+            row.append(e)
+        rows.append(row)
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            a, b = rows[i][j], rows[j][i]
+            if a is not b and a._v != b._v:
                 raise ParseError(
-                    f"asymmetric entries at ({i + 1},{j + 1}) and ({j + 1},{i + 1}): "
-                    f"{rows[i][j]} != {rows[j][i]}"
+                    f"asymmetric entries at ({i + 1},{j + 1}) and ({j + 1},{i + 1}): {a} != {b}"
                 )
     return SymTropMatrix(n, [rows[i][j] for i in range(n) for j in range(i, n)])
 
 
 def render_matrix(A: SymTropMatrix) -> str:
-    lines = [str(A.n)]
-    for row in A.rows():
-        lines.append(" ".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
+    """n, then the rows; each stored upper entry is formatted once."""
+    n, texts = A.n, [str(e) for e in A._upper]
+    rows: list[list[str]] = []
+    start = 0
+    for i in range(n):
+        # the column above the diagonal from the rows so far, then row i's stored part
+        rows.append([row[i] for row in rows] + texts[start:start + n - i])
+        start += n - i
+    return "\n".join([str(n)] + [" ".join(row) for row in rows]) + "\n"
 
 
 def parse_vector(text: str) -> TropVector:

@@ -15,8 +15,11 @@ cliques covering the vertices (`min_clique_cover_size`).  `max_clique`
 gives the clique number that prunes it and the rank module's fooling
 sets, and an exact edge-clique-cover solver branches over maximal
 cliques held as edge bitmasks.  All are exponential, for desk-scale
-graphs; pruned by the least bound any completion can reach, the
-cover-bound search takes about a second on a dense n = 16 pattern.
+graphs; pruned by the least bound any completion can reach, with the
+clique number of what is left uncovered bounded by a greedy colouring
+(as in Tomita and Seki's maximum-clique search) and subtrees that
+yielded nothing not entered twice, the cover-bound search takes under
+a second on a dense n = 16 pattern.
 """
 
 from __future__ import annotations
@@ -320,20 +323,41 @@ def completion_bound(k: int, l: int, r: int, omega: int) -> int:
     )
 
 
+def _colour_count(vertices: int, masks: Sequence[int]) -> int:
+    """Colours a greedy colouring of the bitmask `vertices` uses: each colour
+    takes the lowest uncoloured vertex not adjacent to one it already holds.
+    A clique needs a colour per vertex, so this is at least its clique number."""
+    colours = 0
+    while vertices:
+        colours += 1
+        free = vertices
+        while free:
+            low = free & -free
+            vertices ^= low
+            free &= ~masks[low.bit_length() - 1] ^ low
+    return colours
+
+
 class CliquePartitions:
     """Iterating yields `(parts, bound)` for each partition of G's vertices
     into cliques, with its cover bound, in canonical order: lowest
     uncovered vertex first, its cliques largest first, then lexicographic.
     It serves the two vertex-cover searches below, not the rank search.
 
-    A child leaving `left` vertices uncovered needs ceil(left / omega) more
-    parts, and no completion of it has a bound below its sum_i (i-1) q_i
-    plus `completion_bound`; it is skipped when the first is above
-    `max_parts` or the second above `max_bound`.  Callers may lower either
-    limit between yields; both are reread after each child entered.  The
-    sum is kept incrementally (sizes >= 2 sorted with `bisect`), each
+    A child leaving `left` vertices uncovered, in cliques of at most
+    omega' = min(omega, `_colour_count` of the rest), needs ceil(left /
+    omega') more parts, and no completion of it has a bound below its
+    sum_i (i-1) q_i plus `completion_bound`; it is skipped when the first
+    is above `max_parts` or the second above `max_bound`.  While
+    `max_bound` is above every bound, inner children skip the second.
+    Callers may lower either limit between yields, and may only lower it;
+    both are reread after each child entered.  A child whose subtree
+    yielded nothing is not entered again in that iteration: its uncovered
+    rest and its sizes >= 2 (which leave its singleton count) fix every
+    bound and part count below it, so lower limits cannot let it yield.
+    The sum is kept incrementally (sizes >= 2 sorted with `bisect`), each
     uncovered set's branch list is built once, and each completion bound
-    once per (parts of size >= 2, singletons, vertices left).
+    once per (parts of size >= 2, singletons, vertices left, omega').
     """
 
     def __init__(self, G: PatternGraph, max_parts: int | None = None):
@@ -343,31 +367,36 @@ class CliquePartitions:
         # ints, not inf: the limits are compared in the innermost loop
         self.max_parts = G.n if max_parts is None else max_parts
         self.max_bound = G.n * G.n
-        self._branches: dict[int, list[tuple[tuple[int, ...], int, int, int, int]]] = {}
-        self._completions: dict[tuple[int, int, int], int] = {}
+        self._branches: dict[int, list[tuple[tuple[int, ...], int, int, int, int, int]]] = {}
+        self._completions: dict[tuple[int, int, int, int], int] = {}
 
     def __iter__(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
         masks, omega, branches = self.masks, self.omega, self._branches
         completions = self._completions
+        unbounded = len(masks) ** 2  # no cover bound reaches n*n
         parts: list[tuple[int, ...]] = []
         sizes: list[int] = []  # sizes >= 2 of the parts, ascending
+        dead: set[tuple[int, tuple[int, ...]]] = set()
+        yields = 0
 
         def search(uncovered: int, weighted: int, l: int, depth: int):
             # weighted: sum_i (i-1) q_i over the sizes >= 2; l: singletons;
             # depth: the part count of each child
+            nonlocal yields
             cliques = branches.get(uncovered)
             if cliques is None:
                 # (clique, uncovered rest, parts the rest still needs, size,
-                # vertices the rest holds)
+                # vertices the rest holds, omega' of the rest: 1 when empty)
+                cliques = branches[uncovered] = []
                 left = uncovered.bit_count()
-                cliques = branches[uncovered] = [
-                    (clique, uncovered ^ mask, -((len(clique) - left) // omega),
-                     len(clique), left - len(clique))
-                    for clique, mask in _cliques_containing(uncovered, masks)
-                ]
+                for clique, mask in _cliques_containing(uncovered, masks):
+                    rest, q = uncovered ^ mask, len(clique)
+                    omega_rest = min(omega, _colour_count(rest, masks)) or 1
+                    need = -((q - left) // omega_rest)
+                    cliques.append((clique, rest, need, q, left - q, omega_rest))
             k = len(sizes)
             slack, max_bound = self.max_parts - depth, self.max_bound
-            for clique, rest, need, q, r in cliques:
+            for clique, rest, need, q, r, omega_rest in cliques:
                 if need > slack:
                     continue
                 if q == 1:
@@ -377,21 +406,29 @@ class CliquePartitions:
                     # smaller size moves one place down
                     pos = bisect.bisect_left(sizes, q)
                     kk, w, ll = k + 1, weighted + (k - pos) * q + sum(sizes[:pos]), l
-                tail = completions.get((kk, ll, r))
-                if tail is None:
-                    tail = completions[kk, ll, r] = completion_bound(kk, ll, r, omega)
-                bound = w + tail  # the child's own bound once r == 0
-                if bound > max_bound:
-                    continue
+                if not rest or max_bound < unbounded:
+                    key = (kk, ll, r, omega_rest)
+                    tail = completions.get(key)
+                    if tail is None:
+                        tail = completions[key] = completion_bound(*key)
+                    bound = w + tail  # the child's own bound once r == 0
+                    if bound > max_bound:
+                        continue
                 parts.append(clique)
                 if not rest:
+                    yields += 1
                     yield tuple(parts), bound
-                elif pos < 0:
-                    yield from search(rest, w, ll, depth + 1)
                 else:
-                    sizes.insert(pos, q)
-                    yield from search(rest, w, ll, depth + 1)
-                    del sizes[pos]
+                    if pos >= 0:
+                        sizes.insert(pos, q)
+                    state = (rest, tuple(sizes))  # with the rest, the sizes fix ll
+                    if state not in dead:
+                        before = yields
+                        yield from search(rest, w, ll, depth + 1)
+                        if yields == before:
+                            dead.add(state)
+                    if pos >= 0:
+                        del sizes[pos]
                 parts.pop()
                 slack, max_bound = self.max_parts - depth, self.max_bound
 

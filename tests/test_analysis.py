@@ -137,9 +137,11 @@ class TestAgainstTheScalarReferences:
         cp = reference_is_completely_positive(A)
         assert is_completely_positive(A) == cp
         assert _outcome(normalize, A) == _outcome(reference_normalize, A)
-        assert _outcome(require_cp, A) == (
-            None if cp else (NotCompletelyPositiveError, "matrix is not completely positive")
-        )
+        not_cp = (NotCompletelyPositiveError, "matrix is not completely positive")
+        assert _outcome(require_cp, A) == (None if cp else not_cp)
+        if not cp:
+            # every CP-requiring entry point raises through the one gate
+            assert _outcome(cp_rank_is_one, A) == _outcome(extract_rank_one_factor, A) == not_cp
 
     @settings(max_examples=100, deadline=None)
     @given(non_cp_matrices())

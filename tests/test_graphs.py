@@ -38,7 +38,13 @@ from tropcp.corpus import (
 )
 from tropcp.analysis import normalize
 from tropcp.generators import random_cp_matrix, random_pattern_graph
-from tropcp.graphs import CliquePartitions, completion_bound, cover_bound_terms, max_clique
+from tropcp.graphs import (
+    CliquePartitions,
+    _colour_count,
+    completion_bound,
+    cover_bound_terms,
+    max_clique,
+)
 
 import oracles
 from oracles import (
@@ -332,8 +338,9 @@ class TestCliquePartitions:
     def test_limits_lowered_between_yields(self):
         # each yield lowers a limit to one below what it just saw; the
         # search must then yield exactly the reference partitions that
-        # beat every earlier one
-        for G in every_graph_up_to(5):
+        # beat every earlier one, with subtrees that yielded nothing
+        # skipped when they are reached again
+        for G in every_graph_up_to(6):
             everything = list(CliquePartitions(G))
             for limit, measure in (
                 ("max_parts", lambda item: len(item[0])),
@@ -388,10 +395,26 @@ class TestCliquePartitions:
         monkeypatch.setattr(graphs_mod, "_cliques_containing", counting)
         G = pattern_graph(normalize(random_cp_matrix(13, 1310))[0])
         assert min_cover_bound(G)[1] == 28
-        assert len(listed) == 315
+        assert len(listed) == 253
         listed.clear()
         assert min_cover_bound(cycle(14))[1] == 49
         assert len(listed) == 1
+
+
+class TestColourCount:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_up_to(10), st.integers(0, (1 << 10) - 1))
+    def test_at_least_the_clique_number_of_any_subset(self, G, bits):
+        U = bits & ((1 << G.n) - 1)
+        inside = [m & U if U >> v & 1 else 0 for v, m in enumerate(G.masks)]
+        omega = len(max_clique(inside)) if U else 0
+        assert _colour_count(U, G.masks) >= omega
+
+    def test_counts(self):
+        assert _colour_count(0, PatternGraph.complete(4).masks) == 0
+        assert _colour_count(0b1111, PatternGraph.complete(4).masks) == 4
+        assert _colour_count(0b1111, PatternGraph.empty(4).masks) == 1
+        assert _colour_count((1 << 14) - 1, cycle(14).masks) == 2
 
 
 class TestCompletionBound:

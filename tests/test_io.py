@@ -1,5 +1,6 @@
 """File formats, reports, and instance generators."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,32 @@ class TestMatrixFormat:
     def test_asymmetry_has_location(self):
         with pytest.raises(ParseError, match=r"\(1,2\)"):
             parse_matrix("2\n0 1\n2 0\n")
+
+    def test_repeated_bad_token_reports_its_first_location(self):
+        with pytest.raises(ParseError) as err:
+            parse_matrix("3\n0 1 x\nx 0 x\n1 x 0\n")
+        assert str(err.value) == "bad token 'x' at row 1, column 3"
+
+    def test_mirrored_spellings_of_one_value_are_symmetric(self):
+        A = parse_matrix("3\n0 1/2 2/4\n2/4 0 0.5\n0.5 1/2 0\n")
+        half = Fraction(1, 2)
+        assert A == SymTropMatrix.from_rows([[0, half, half], [half, 0, half], [half, half, 0]])
+        assert render_matrix(A) == "3\n0 1/2 1/2\n1/2 0 1/2\n1/2 1/2 0\n"
+
+    def test_asymmetry_between_spellings_names_both_values(self):
+        with pytest.raises(ParseError) as err:
+            parse_matrix("2\n0 2/4\n0.6 0\n")
+        assert str(err.value) == "asymmetric entries at (1,2) and (2,1): 1/2 != 3/5"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_render_matches_the_rows_byte_for_byte(self, seed):
+        rng = random.Random(seed)
+        values = ["inf", "0", "3", "1/3", "-5/4", "2.25", "0.125", "7/2"]
+        n = rng.randint(1, 9)
+        A = SymTropMatrix.from_upper_func(n, lambda i, j: TropScalar(rng.choice(values)))
+        rows = [" ".join(str(A[i, j]) for j in range(n)) for i in range(n)]
+        assert render_matrix(A) == "\n".join([str(n)] + rows) + "\n"
+        assert parse_matrix(render_matrix(A)) == A
 
     def test_wrong_row_count(self):
         with pytest.raises(ParseError, match="expected 3 rows"):
