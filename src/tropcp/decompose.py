@@ -53,12 +53,17 @@ TAIL_SEARCH = "search"
 TAIL_SEARCH_NODES = 200_000
 
 
-def reduce_to_partition(cover: CliqueCover, n: int) -> CliqueCover:
-    """Keep each vertex only in its canonically first clique.
+def make_block_plan(G: PatternGraph, cover: CliqueCover) -> CliqueCover:
+    """The partition the blocks are built on, from a vertex clique cover of G.
 
-    Shrinking a cover this way never increases its rank bound, and the
-    block construction needs disjoint cliques.
+    Each vertex stays only in its canonically first clique: shrinking a
+    cover this way never increases its rank bound, and the blocks need
+    disjoint cliques.  Its first ``k`` cliques are the parts of size >= 2
+    (largest first) and ``singles`` its singleton vertices, both in G's
+    vertex numbering.
     """
+    if not cover.covers(G):
+        raise ValueError("not a valid vertex clique cover of the pattern graph")
     seen: set[int] = set()
     parts = []
     for clique in cover.cliques:
@@ -66,21 +71,7 @@ def reduce_to_partition(cover: CliqueCover, n: int) -> CliqueCover:
         seen.update(kept)
         if kept:
             parts.append(kept)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
-        raise ValueError(f"cover misses vertices {missing}")
     return CliqueCover(parts)
-
-
-def make_block_plan(G: PatternGraph, cover: CliqueCover) -> CliqueCover:
-    """The partition the blocks are built on, from a vertex clique cover of G.
-
-    Its first ``k`` cliques are the parts of size >= 2 (largest first) and
-    ``singles`` its singleton vertices, both in G's vertex numbering.
-    """
-    if not cover.covers(G):
-        raise ValueError("not a valid vertex clique cover of the pattern graph")
-    return reduce_to_partition(cover, G.n)
 
 
 def clique_block(D: Rows, plan: CliqueCover) -> list[Vector]:

@@ -14,12 +14,12 @@ minimum of this bound over all covers (`min_cover_bound`) and the fewest
 cliques covering the vertices (`min_clique_cover_size`).  `max_clique`
 gives the clique number that prunes it and the rank module's fooling
 sets, and an exact edge-clique-cover solver branches over maximal
-cliques held as edge bitmasks.  All are exponential, for desk-scale
-graphs; pruned by the least bound any completion can reach, with the
-clique number of what is left uncovered bounded by a greedy colouring
-(as in Tomita and Seki's maximum-clique search) and subtrees that
-yielded nothing not entered twice, the cover-bound search takes under
-a second on a dense n = 16 pattern.
+cliques held as edge bitmasks.  One greedy colouring (`_colour_classes`,
+Tomita and Seki's bound) orders and prunes `max_clique` and bounds the
+clique number of what a partition leaves uncovered.  All are exponential,
+for desk-scale graphs; pruned by the least bound any completion can
+reach and by skipping subtrees that yielded nothing, the cover-bound
+search takes under a second on a dense n = 16 pattern.
 """
 
 from __future__ import annotations
@@ -261,6 +261,23 @@ def _cliques_containing(allowed: int, masks: Sequence[int]) -> list[tuple[tuple[
     return found
 
 
+def _colour_classes(vertices: int, masks: Sequence[int]) -> list[int]:
+    """A greedy colouring of the bitmask `vertices`, one bitmask per colour:
+    each colour takes the lowest uncoloured vertex not adjacent to one it
+    already holds.  A clique needs a colour per vertex, so there are at
+    least its clique number of classes (Tomita and Seki's bound)."""
+    classes = []
+    while vertices:
+        colour, free = 0, vertices
+        while free:
+            low = free & -free
+            colour |= low
+            free &= ~(masks[low.bit_length() - 1] | low)
+        vertices ^= colour
+        classes.append(colour)
+    return classes
+
+
 class _Stop(Exception):
     """Raised inside `max_clique` once its deadline has passed."""
 
@@ -268,10 +285,10 @@ class _Stop(Exception):
 def max_clique(adj: Sequence[int], deadline: float = math.inf) -> list[int]:
     """A maximum clique of the graph with bitmask rows adj, by branch and bound.
 
-    Candidates are greedily coloured, and a branch closes when the clique
-    so far plus the colours left cannot beat the best one found.  Past the
-    deadline (a `time.monotonic()` value) the search stops and returns the
-    largest clique found so far.
+    Candidates are tried by `_colour_classes`, last colour and highest
+    vertex first; a branch closes when the clique so far plus the colours
+    left cannot beat the best one found.  Past the deadline (a
+    `time.monotonic()` value) it stops and returns the largest clique found.
     """
     best: list[int] = []
     clique: list[int] = []
@@ -280,27 +297,22 @@ def max_clique(adj: Sequence[int], deadline: float = math.inf) -> list[int]:
         nonlocal best
         if time.monotonic() > deadline:
             raise _Stop
-        order: list[tuple[int, int]] = []
-        uncoloured, colour = cand, 0
-        while uncoloured:
-            colour += 1
-            free = uncoloured
-            while free:
-                v = (free & -free).bit_length() - 1
-                free &= ~adj[v] & ~(1 << v)
-                uncoloured &= ~(1 << v)
-                order.append((v, colour))
-        for v, colour in reversed(order):
-            if len(clique) + colour <= len(best):
-                return
-            clique.append(v)
-            rest = cand & adj[v]
-            if rest:
-                expand(rest)
-            elif len(clique) > len(best):
-                best = clique[:]
-            clique.pop()
-            cand &= ~(1 << v)
+        classes = _colour_classes(cand, adj)
+        for colour in range(len(classes), 0, -1):
+            members = classes[colour - 1]
+            while members:
+                if len(clique) + colour <= len(best):
+                    return
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                clique.append(v)
+                rest = cand & adj[v]
+                if rest:
+                    expand(rest)
+                elif len(clique) > len(best):
+                    best = clique[:]
+                clique.pop()
+                cand &= ~(1 << v)
 
     try:
         expand((1 << len(adj)) - 1)
@@ -323,21 +335,6 @@ def completion_bound(k: int, l: int, r: int, omega: int) -> int:
     )
 
 
-def _colour_count(vertices: int, masks: Sequence[int]) -> int:
-    """Colours a greedy colouring of the bitmask `vertices` uses: each colour
-    takes the lowest uncoloured vertex not adjacent to one it already holds.
-    A clique needs a colour per vertex, so this is at least its clique number."""
-    colours = 0
-    while vertices:
-        colours += 1
-        free = vertices
-        while free:
-            low = free & -free
-            vertices ^= low
-            free &= ~masks[low.bit_length() - 1] ^ low
-    return colours
-
-
 class CliquePartitions:
     """Iterating yields `(parts, bound)` for each partition of G's vertices
     into cliques, with its cover bound, in canonical order: lowest
@@ -345,10 +342,10 @@ class CliquePartitions:
     It serves the two vertex-cover searches below, not the rank search.
 
     A child leaving `left` vertices uncovered, in cliques of at most
-    omega' = min(omega, `_colour_count` of the rest), needs ceil(left /
-    omega') more parts, and no completion of it has a bound below its
-    sum_i (i-1) q_i plus `completion_bound`; it is skipped when the first
-    is above `max_parts` or the second above `max_bound`.  While
+    omega' = min(omega, classes of `_colour_classes` of the rest), needs
+    ceil(left / omega') more parts, and no completion of it has a bound
+    below its sum_i (i-1) q_i plus `completion_bound`; it is skipped when
+    the first is above `max_parts` or the second above `max_bound`.  While
     `max_bound` is above every bound, inner children skip the second.
     Callers may lower either limit between yields, and may only lower it;
     both are reread after each child entered.  A child whose subtree
@@ -391,7 +388,7 @@ class CliquePartitions:
                 left = uncovered.bit_count()
                 for clique, mask in _cliques_containing(uncovered, masks):
                     rest, q = uncovered ^ mask, len(clique)
-                    omega_rest = min(omega, _colour_count(rest, masks)) or 1
+                    omega_rest = min(omega, len(_colour_classes(rest, masks))) or 1
                     need = -((q - left) // omega_rest)
                     cliques.append((clique, rest, need, q, left - q, omega_rest))
             k = len(sizes)

@@ -51,8 +51,9 @@ from typing import Iterable, Optional, Sequence
 from .analysis import _normalizable, _zero_diagonal, require_normalized
 # unused here but kept: perfbench/layers.py patches them on this module to time spans
 from .analysis import is_completely_positive, lift_decomposition, normalize  # noqa
-from .core import Decomposition, SymTropMatrix, TropScalar, TropVector, on_grid
+from .core import Decomposition, SymTropMatrix, TropVector, on_grid
 from .graphs import (
+    PatternGraph,
     edge_clique_cover_number,
     max_clique,
     min_clique_cover_size,
@@ -415,18 +416,25 @@ class _Instance:
     the normalized matrix (it keeps A's CP-rank) as the pass's rows C with
     C / `scale` its entries, and the lift to A, `lift` (each row of A with a
     finite diagonal, and that diagonal times scale / 2), the identity when A
-    is normalized.  Also C's pattern graph G and finite entries (i <= j),
-    their conflict rows and fooling clique (built on first use).  The public
-    bounds, `cp_rank_leq` and the decompose construction take one in place
-    of A.  A is None on the decompose tail's instance, which only `_solve` reads.
+    is normalized.  C's pattern graph G, its finite entries (i <= j), their
+    conflict rows and fooling clique are each built on first use.  The
+    public bounds, `cp_rank_leq` and the decompose construction take one in
+    place of A.  A is None on the decompose tail's instance, which only `_solve` reads.
     """
 
     def __init__(self, A: SymTropMatrix, zero_diagonal) -> None:
         C, self.lift, scale = zero_diagonal
-        self.A, self.C, self.scale, m = A, C, 2 * scale, len(C)
-        self.G = pattern_graph(C)
-        self.entries = [(i, j) for i in range(m) for j in range(i, m) if C[i][j] is not None]
+        self.A, self.C, self.scale = A, C, 2 * scale
         self._fooling: Optional[list[int]] = None
+
+    @functools.cached_property
+    def G(self) -> PatternGraph:
+        return pattern_graph(self.C)
+
+    @functools.cached_property
+    def entries(self) -> list[tuple[int, int]]:
+        C, m = self.C, len(self.C)
+        return [(i, j) for i in range(m) for j in range(i, m) if C[i][j] is not None]
 
     @functools.cached_property
     def conflicts(self) -> list[int]:
@@ -616,7 +624,7 @@ def rank_lower_bound(A: SymTropMatrix) -> int:
     """
     G = _prepared(A).G
     cc, _ = edge_clique_cover_number(G)
-    return max(cc, min_clique_cover_size(G), 1)
+    return max(cc, min_clique_cover_size(G))
 
 
 def _conflict(C: list[list[Optional[int]]], e: tuple[int, int], f: tuple[int, int]) -> bool:
@@ -723,11 +731,12 @@ def cp_rank_exact(
     `rank_lower_bound`; `refuted_by` says for each r whether the
     fooling-set bound or a complete search refuted it.
 
-    `timeout_s` and `node_limit` bound the whole call: the fooling clique
-    and each `cp_rank_leq(r)` get what is left of one deadline and one node
-    budget.  `threads` is accepted; the search runs serially.  A negative
-    `r_max` or `node_limit`, or a negative or NaN `timeout_s`, raises
-    ValueError.
+    `timeout_s` and `node_limit` are one deadline and one node budget for
+    the fooling clique and each `cp_rank_leq(r)`.  `rank_lower_bound` runs
+    first and nothing stops it at the deadline: past n = 20 a call can take
+    far longer than `timeout_s`.  `threads` is accepted; the search runs
+    serially.  A negative `r_max` or `node_limit`, or a negative or NaN
+    `timeout_s`, raises ValueError.
     """
     _check_limits(r_max=r_max, node_limit=node_limit, timeout_s=timeout_s)
     deadline = time.monotonic() + timeout_s
@@ -771,9 +780,10 @@ def zero_one_rank(A: SymTropMatrix) -> int:
     factor per isolated vertex (an isolated vertex's diagonal zero cannot
     share a factor with any other zero).  For the empty pattern this is n.
     """
-    G = _prepared(A).G
-    for i, j, v in A.upper_entries():
-        if i != j and v not in (TropScalar(0), TropScalar(1)):
-            raise ValueError(f"entry ({i + 1},{j + 1}) = {v} is not 0 or 1")
-    cc, _ = edge_clique_cover_number(G)
-    return cc + G.masks.count(0)  # one factor per isolated vertex
+    P = _prepared(A)
+    for i, row in enumerate(P.C):
+        for j in range(i + 1, len(row)):
+            if row[j] not in (0, P.scale):  # C / scale is A, so 1 is scale
+                raise ValueError(f"entry ({i + 1},{j + 1}) = {P.A[i, j]} is not 0 or 1")
+    cc, _ = edge_clique_cover_number(P.G)
+    return cc + P.G.masks.count(0)  # one factor per isolated vertex

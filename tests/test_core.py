@@ -157,6 +157,25 @@ class TestMatrix:
             assert v <= m[i, j]
 
 
+# (constructor or query, expected error, message) for each rejected input
+REJECTED = [
+    (lambda: SymTropMatrix(2, [0, 0]), ValueError, "expected 3 upper-triangle entries, got 2"),
+    (lambda: SymTropMatrix.from_rows([[0, 1], [1]]), ValueError, "row 2 has 1 entries, expected 2"),
+    (lambda: TropVector([]), ValueError, "tropical vectors must have length >= 1"),
+    (lambda: SymTropMatrix.zeros(2)[2, 0], IndexError, r"index \(2,0\) out of range for n=2"),
+    (lambda: SymTropMatrix.zeros(2)[0, -1], IndexError, r"index \(0,-1\) out of range for n=2"),
+    (lambda: INF.finite, ValueError, "infinite tropical scalar has no finite value"),
+    (lambda: trop_matrix_sum([]), ValueError, "tropical sum of no matrices"),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, message", REJECTED)
+    def test_rejected_with_its_message(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+
 class TestDecomposition:
     def test_displayed_pair_verifies(self):
         half = Fraction(1, 2)

@@ -52,7 +52,7 @@ from tropcp.generators import (
     random_cp_matrix,
     random_pattern_graph,
 )
-from tropcp.graphs import cover_bound_terms
+from tropcp.graphs import cover_bound_terms, max_clique
 
 from oracles import dressed, reference_merge_pass
 
@@ -451,6 +451,10 @@ class TestEmptyPattern01:
     def test_four_verifies(self):
         assert verify_decomposition(empty_pattern_01_decomposition(4))
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            empty_pattern_01_decomposition(0)
+
 
 class TestLiftedWrapper:
     @pytest.mark.parametrize("seed", range(8))
@@ -527,6 +531,55 @@ class TestPreparedInstance:
             assert calls.pop("scaled_rows") == [parsed]
             assert calls == {}
 
+    def test_one_grid_pass_and_one_verification_per_custom_cover(self, calls):
+        # a cover of one's own, numbered as the normalized rows, built on the
+        # prepared instance gives factors of A itself
+        for seed, A in enumerate(self.INPUTS):
+            calls.clear()
+            P = rank_mod.prepare_instance(A)
+            dec = construct_decomposition(P, random_clique_cover(P.G, seed))
+            assert calls.pop("_zero_diagonal") == [A]
+            assert calls.pop("scaled_rows") == [A]
+            (target,) = calls.pop("is_exact_decomposition")
+            assert target is A and dec.target is A
+            assert calls == {}
+
+    @pytest.fixture
+    def instances(self, monkeypatch):
+        # every instance built, and the grid rows of every pattern graph
+        # built through tropcp.rank
+        built: dict[str, list] = {"instances": [], "graphs": []}
+        init, pattern = rank_mod._Instance.__init__, rank_mod.pattern_graph
+
+        def recorded_init(P, *args):
+            built["instances"].append(P)
+            init(P, *args)
+
+        def recorded_pattern(C):
+            built["graphs"].append(C)
+            return pattern(C)
+
+        monkeypatch.setattr(rank_mod._Instance, "__init__", recorded_init)
+        monkeypatch.setattr(rank_mod, "pattern_graph", recorded_pattern)
+        return built
+
+    def test_one_pattern_graph_per_decompose_with_a_tail_search(self, instances):
+        # the tail search's instance reads the entries, not the pattern graph
+        assert decompose_cp_detailed(self.INPUTS[-1])[1][2] == TAIL_SEARCH
+        P, tail = instances["instances"]
+        assert instances["graphs"] == [P.C]
+        assert "G" not in vars(tail) and "entries" not in vars(P)
+
+    def test_bound_command_never_lists_the_entries(self, instances, tmp_path, capsys):
+        path = tmp_path / "a.tmat"
+        for A in self.INPUTS:
+            path.write_text(render_matrix(A))
+            instances["instances"].clear()
+            assert cli_mod.main(["bound", str(path)]) == 0
+            (P,) = instances["instances"]
+            assert "entries" not in vars(P)
+        capsys.readouterr()
+
 
 class TestLiftedCertificate:
     def test_decompose_cp_matches_the_normalized_path(self):
@@ -547,3 +600,18 @@ class TestLiftedCertificate:
             assert dec.target is A
             modes[details[2]] += 1
         assert min(modes.values()) >= 5, modes
+
+    def test_custom_cover_on_the_instance_matches_the_lifted_recipe(self):
+        # construct_decomposition on the prepared instance against the
+        # normalize -> construct -> lift recipe, on covers that overlap
+        for seed in range(40):
+            n = 2 + seed % 8
+            G = random_pattern_graph(n, seed, (0.1, 0.3, 0.6)[seed % 3])
+            C = generate_instance(G, 3000 + seed, max_numerator=4, inf_probability=0.2 * (seed % 2))
+            A = dressed(C, seed)
+            C, record = normalize(A)
+            G = pattern_graph(C)
+            cover = CliqueCover(random_clique_cover(G, seed).cliques + (max_clique(G.masks),))
+            dec = construct_decomposition(rank_mod.prepare_instance(A), cover)
+            assert dec == lift_decomposition(construct_decomposition(C, cover), record), seed
+            assert dec.target is A

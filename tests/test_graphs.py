@@ -40,7 +40,7 @@ from tropcp.analysis import normalize
 from tropcp.generators import random_cp_matrix, random_pattern_graph
 from tropcp.graphs import (
     CliquePartitions,
-    _colour_count,
+    _colour_classes,
     completion_bound,
     cover_bound_terms,
     max_clique,
@@ -94,6 +94,18 @@ class TestPatternGraph:
     def test_loops_rejected(self):
         with pytest.raises(ValueError):
             PatternGraph(3, [(1, 1)])
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (0, [], "graphs must have at least one vertex"),
+            (3, [(0, 3)], r"edge \(0,3\) out of range for n=3"),
+            (3, [(-1, 2)], r"edge \(-1,2\) out of range for n=3"),
+        ],
+    )
+    def test_bad_size_or_edge_rejected(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            PatternGraph(n, edges)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_up_to(8))
@@ -175,6 +187,10 @@ class TestSubgraphsAndJoin:
         with pytest.raises(ValueError):
             induced_subgraph(paw_graph(), [0, 9])
 
+    def test_empty_vertex_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            induced_subgraph(paw_graph(), [])
+
     def test_join_empty_gives_star(self):
         J = join_vertex(PatternGraph.empty(5))
         assert J.n == 6
@@ -213,6 +229,11 @@ class TestCoverBound:
         assert cover.cliques == ((0, 1, 2), (0, 1), (3,))
         assert cover.sizes == (3, 2)
         assert cover.k == 2 and cover.singleton_count == 1
+
+    @pytest.mark.parametrize("cover_type", [CliqueCover, EdgeCliqueCover])
+    def test_empty_clique_rejected(self, cover_type):
+        with pytest.raises(ValueError, match="empty clique in cover"):
+            cover_type([(0, 1), ()])
 
 
 class TestMinCoverBound:
@@ -408,13 +429,13 @@ class TestColourCount:
         U = bits & ((1 << G.n) - 1)
         inside = [m & U if U >> v & 1 else 0 for v, m in enumerate(G.masks)]
         omega = len(max_clique(inside)) if U else 0
-        assert _colour_count(U, G.masks) >= omega
+        assert len(_colour_classes(U, G.masks)) >= omega
 
     def test_counts(self):
-        assert _colour_count(0, PatternGraph.complete(4).masks) == 0
-        assert _colour_count(0b1111, PatternGraph.complete(4).masks) == 4
-        assert _colour_count(0b1111, PatternGraph.empty(4).masks) == 1
-        assert _colour_count((1 << 14) - 1, cycle(14).masks) == 2
+        assert len(_colour_classes(0, PatternGraph.complete(4).masks)) == 0
+        assert len(_colour_classes(0b1111, PatternGraph.complete(4).masks)) == 4
+        assert len(_colour_classes(0b1111, PatternGraph.empty(4).masks)) == 1
+        assert len(_colour_classes((1 << 14) - 1, cycle(14).masks)) == 2
 
 
 class TestCompletionBound:
@@ -507,6 +528,12 @@ class TestEdgeCliqueCover:
     def test_edgeless(self):
         cc, cover = edge_clique_cover_number(PatternGraph.empty(4))
         assert cc == 0 and cover.cliques == ()
+
+    def test_a_non_clique_does_not_cover(self):
+        # {0, 1, 2} holds both edges of the path but is not a clique of it
+        G = PatternGraph.path(3)
+        assert EdgeCliqueCover([(0, 1), (1, 2)]).covers(G)
+        assert not EdgeCliqueCover([(0, 1, 2)]).covers(G)
 
     def test_triangle_free_equals_edge_count_exhaustive(self):
         # in a triangle-free graph every clique is an edge, so cc = |E|;

@@ -24,6 +24,7 @@ from tropcp import (
     generate_instance,
     random_cp_matrix,
 )
+from tropcp.cli import main
 from tropcp.corpus import paw_graph
 from tropcp.reports import embed_decomposition, load_decomposition, make_report
 from tropcp.generators import random_pattern_graph
@@ -163,6 +164,45 @@ class TestVectors:
     def test_round_trip(self):
         v = TropVector([0, "inf", "1/2"])
         assert parse_vector(render_vector(v)) == v
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ParseError, match="empty vector"):
+            parse_vector(" \n")
+
+
+# (file suffix, text, message) of each malformed matrix or graph file
+MALFORMED_FILES = [
+    (".tmat", "", "empty matrix file"),
+    (".tmat", " \n\n", "empty matrix file"),
+    (".tmat", "two\n0\n", "bad dimension line 'two'"),
+    (".tmat", "0\n", "dimension must be >= 1, got 0"),
+    (".tmat", "-2\n", "dimension must be >= 1, got -2"),
+    (".tgraph", "", "empty graph file"),
+    (".tgraph", "3\n", "expected 'n m' header, got '3'"),
+    (".tgraph", "3 1 1\n1 2\n", "expected 'n m' header, got '3 1 1'"),
+    (".tgraph", "3 one\n1 2\n", "bad header '3 one'"),
+    (".tgraph", "3 1\n1 2 3\n", "edge line 1 is not 'i j': '1 2 3'"),
+    (".tgraph", "3 1\n1\n", "edge line 1 is not 'i j': '1'"),
+    (".tgraph", "3 1\n1 b\n", "bad endpoints on edge line 1: '1 b'"),
+]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("suffix, text, message", MALFORMED_FILES)
+    def test_parse_error_names_the_fault(self, suffix, text, message):
+        parse = parse_matrix if suffix == ".tmat" else parse_graph
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("suffix, text, message", MALFORMED_FILES)
+    def test_cli_exits_two_naming_the_file(self, capsys, tmp_path, suffix, text, message):
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text)
+        assert main(["check" if suffix == ".tmat" else "cc", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
 
 
 class TestReports:

@@ -663,6 +663,21 @@ class TestLiftedCertificate:
         assert [[str(e) for e in f] for f in cert.decomposition.factors] == [["inf", "1/2", "3/2"]]
 
 
+def _seeded_instance(seed):
+    """A seeded normalized CP matrix at n = 4-7, a third of them normalized
+    random CP matrices, the rest on random patterns, half of those with inf."""
+    n = 4 + seed % 4
+    if seed % 3 == 0:
+        return normalize(random_cp_matrix(n, seed))[0]
+    return generate_instance(
+        random_pattern_graph(n, seed, 0.2 + 0.1 * (seed % 4)),
+        1000 + seed,
+        max_numerator=3,
+        max_denominator=1,
+        inf_probability=0.3 * (seed % 2),
+    )
+
+
 class TestAgainstSkeletonSearch:
     """The assignment search against the reference skeleton walk it replaced."""
 
@@ -671,17 +686,7 @@ class TestAgainstSkeletonSearch:
         # counts as settled when it ends under its node limit
         verdicts = {"found": 0, "refuted": 0, "unsettled": 0}
         for seed in range(200):
-            n = 4 + seed % 4
-            if seed % 3 == 0:
-                A, _ = normalize(random_cp_matrix(n, seed))
-            else:
-                A = generate_instance(
-                    random_pattern_graph(n, seed, 0.2 + 0.1 * (seed % 4)),
-                    1000 + seed,
-                    max_numerator=3,
-                    max_denominator=1,
-                    inf_probability=0.3 * (seed % 2),
-                )
+            A = _seeded_instance(seed)
             rank, cert = cp_rank_exact(A)
             assert cert.status == "exact"
             for r in range(rank_lower_bound(A), rank + 1):
@@ -906,6 +911,10 @@ class TestRankDecision:
         assert out.decomposition.rank <= 2
         assert verify_decomposition(out.decomposition)
 
+    def test_r_below_one_rejected(self):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            cp_rank_leq(paw_matrix(1, 2), 0)
+
     def test_undetermined_under_node_limit(self):
         # refuting r = 6 takes 12 nodes
         out = cp_rank_leq(n7_p03_349(), 6, node_limit=3)
@@ -1065,43 +1074,85 @@ class TestExactRank:
         assert cert.status == "undetermined"
 
 
+def _three_by_three(values=(0, 1, 2, None)):
+    """Every normalized 3x3 matrix with off-diagonal entries from `values`
+    (None encodes infinity)."""
+    for a, b, c in itertools.product(values, repeat=3):
+        yield SymTropMatrix.from_rows(
+            [[0, _t(a), _t(b)], [_t(a), 0, _t(c)], [_t(b), _t(c), 0]]
+        )
+
+
+def _sampled_four_by_four(seed):
+    rng = random.Random(seed)
+    values = [0, 1, 2, None]
+    rows = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            v = rng.choice(values)
+            rows[i][j] = rows[j][i] = _t(v)
+    return SymTropMatrix.from_rows(rows)
+
+
 class TestAgainstBruteForce:
     def test_exhaustive_three_by_three(self):
-        values = [0, 1, 2, None]  # None encodes infinity
         count = 0
-        for a in values:
-            for b in values:
-                for c in values:
-                    rows = [
-                        [0, _t(a), _t(b)],
-                        [_t(a), 0, _t(c)],
-                        [_t(b), _t(c), 0],
-                    ]
-                    A = SymTropMatrix.from_rows(rows)
-                    rank, cert = cp_rank_exact(A)
-                    oracle = brute_cp_rank(A, 6)
-                    assert rank == oracle, f"mismatch on {rows}"
-                    count += 1
+        for A in _three_by_three():
+            rank, cert = cp_rank_exact(A)
+            oracle = brute_cp_rank(A, 6)
+            assert rank == oracle, f"mismatch on {A}"
+            count += 1
         assert count == 64
 
     @pytest.mark.parametrize("seed", range(24))
     def test_sampled_four_by_four(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        values = [0, 1, 2, None]
-        rows = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                v = rng.choice(values)
-                rows[i][j] = rows[j][i] = _t(v)
-        A = SymTropMatrix.from_rows(rows)
+        A = _sampled_four_by_four(seed)
         rank, _ = cp_rank_exact(A)
         assert rank == brute_cp_rank(A, 8)
 
 
 def _t(v):
     return "inf" if v is None else v
+
+
+def _cc_plus_isolated(A):
+    """cc of a normalized matrix's pattern graph plus its isolated vertices.
+
+    A lower bound on the CP-rank: a factor that attains a zero entry has a
+    clique as its zero set, so at least cc factors attain the edges, and an
+    isolated vertex's diagonal needs a factor whose zero set is that vertex
+    alone, which attains no edge.  It is at least `rank_lower_bound`, since
+    a minimum vertex clique cover needs at most cc + isolated cliques.
+    """
+    G = pattern_graph(A)
+    return edge_clique_cover_number(G)[0] + G.masks.count(0)
+
+
+class TestIsolatedVertexBound:
+    def test_between_the_lower_bound_and_the_rank(self):
+        inputs = [_seeded_instance(seed) for seed in range(200)]
+        inputs += [*_three_by_three(), *map(_sampled_four_by_four, range(24))]
+        above, tight = 0, 0
+        for A in inputs:
+            rank, _ = cp_rank_exact(A)
+            lower, bound = rank_lower_bound(A), _cc_plus_isolated(A)
+            assert lower <= bound <= rank, A
+            above += lower < bound
+            tight += bound == rank
+        # stronger than the lower bound on some inputs, the rank on most
+        assert (len(inputs), above, tight) == (288, 22, 206)
+
+    def test_is_the_zero_one_rank(self):
+        inputs = [*_three_by_three((0, 1))]
+        for seed in range(24):
+            G = random_pattern_graph(4 + seed % 3, seed, edge_probability=0.45)
+            inputs.append(
+                SymTropMatrix.from_upper_func(
+                    G.n, lambda i, j: 0 if (i == j or G.has_edge(i, j)) else 1
+                )
+            )
+        for A in inputs:
+            assert _cc_plus_isolated(A) == zero_one_rank(A) == cp_rank_exact(A)[0], A
 
 
 class TestStructuralInvariants:
