@@ -87,10 +87,6 @@ def is_completely_positive(A: SymTropMatrix) -> bool:
     return _zero_diagonal(A) is not None
 
 
-def require_cp(A: SymTropMatrix) -> None:
-    _cp_pass(A)
-
-
 def require_normalized(A: SymTropMatrix) -> ZeroDiagonal:
     """A's `_zero_diagonal` pass when A is normalized (zero diagonal, entries
     >= 0), whose rows are then twice A's on its grid; raises ValueError otherwise."""

@@ -59,9 +59,11 @@ _PARSERS = {"matrix": parse_matrix, "graph": parse_graph}
 def _read(path: str, parse):
     """The file at `path`, parsed; the errors name the file."""
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at offset {exc.start}") from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -16,8 +16,8 @@ cliques need not occupy consecutive vertices):
 The tail has closed forms for two or three singletons (when a clique of
 size >= 2 exists to supply singleton diagonals, and the involved entries
 are finite); otherwise a per-pair construction plus a greedy merge pass is
-always sound, and an exact search with a TAIL_SEARCH_NODES budget restores
-the floor(l^2/4) factor count when the merge alone does not reach it.
+always sound, and an exact search whose one limit is TAIL_SEARCH_NODES
+nodes restores the floor(l^2/4) factor count when the merge alone does not.
 Counts are whatever was actually achieved.  All of it runs on the grid of
 a prepared instance (`rank._Instance`): the blocks are read off D = 2 C,
 twice its normalized grid rows, so each block vector is a doubled witness
@@ -27,6 +27,7 @@ the lifted factors are verified once, against the input.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .core import Decomposition, SymTropMatrix, TropVector
@@ -49,7 +50,7 @@ TAIL_CLOSED = "closed-form"
 TAIL_PAIRS = "pairs"
 TAIL_SEARCH = "search"
 
-# node budget of the tail's exact search
+# node budget of the tail's exact search, its one limit (it reads no clock)
 TAIL_SEARCH_NODES = 200_000
 
 
@@ -75,14 +76,9 @@ def make_block_plan(G: PatternGraph, cover: CliqueCover) -> CliqueCover:
 
 
 def clique_block(D: Rows, plan: CliqueCover) -> list[Vector]:
-    """One indicator vector per clique: zero on the clique, infinite elsewhere."""
-    out = []
-    for clique in plan.cliques[: plan.k]:
-        vec: Vector = [None] * len(D)
-        for t in clique:
-            vec[t] = 0
-        out.append(vec)
-    return out
+    """One indicator vector per clique: zero on the clique, infinite elsewhere
+    (D is zero inside a clique, so this is one vertex's column over the rest)."""
+    return [_column_over(D, c[0], c[1:]) for c in plan.cliques[: plan.k]]
 
 
 def _column_over(D: Rows, p: int, over: Sequence[int]) -> Vector:
@@ -219,9 +215,9 @@ def singleton_tail_block(
 def _tail_exact_search(D: Rows, singles: Sequence[int], target: int) -> Optional[list[Vector]]:
     """At most `target` factors of the singletons' principal submatrix, or None.
 
-    Runs the exact rank search with a TAIL_SEARCH_NODES budget on C = D / 2
-    with every entry off the singletons' rows and columns made infinite, so
-    the submatrix holds all its finite entries.  Its witnesses, twice their
+    Runs the exact rank search with no timeout on C = D / 2 with every
+    entry off the singletons' rows and columns made infinite, so the
+    submatrix holds all its finite entries.  Its witnesses, twice their
     coordinates on C's grid, are on D's grid and infinite off the singletons.
     """
     m = len(D)
@@ -231,7 +227,7 @@ def _tail_exact_search(D: Rows, singles: Sequence[int], target: int) -> Optional
             if D[p][q] is not None:
                 C[p][q] = D[p][q] // 2
     sub = _Instance(None, (C, [(p, 0) for p in range(m)], 1))
-    return _solve(sub, target, TAIL_SEARCH_NODES, 60.0)[1]
+    return _solve(sub, target, TAIL_SEARCH_NODES, math.inf)[1]
 
 
 def construct_decomposition(A: SymTropMatrix | _Instance, cover: CliqueCover) -> Decomposition:

@@ -101,6 +101,8 @@ def parse_graph(text: str) -> PatternGraph:
         raise ParseError(f"bad header {lines[0]!r}") from None
     if n < 1:
         raise ParseError(f"vertex count must be >= 1, got {n}")
+    if m < 0:
+        raise ParseError(f"edge count must be >= 0, got {m}")
     if len(lines) != m + 1:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -620,11 +620,11 @@ def rank_lower_bound(A: SymTropMatrix) -> int:
     The max of the edge clique cover number of the pattern graph (the
     support's CP-rank) and the minimum cardinality of a vertex clique
     cover: every factor's zero coordinates form a clique, and every vertex
-    needs a zero somewhere.
-    """
+    needs a zero somewhere.  That cover is searched only with an isolated
+    vertex: else cc's cliques cover every vertex, so it is at most cc."""
     G = _prepared(A).G
     cc, _ = edge_clique_cover_number(G)
-    return max(cc, min_clique_cover_size(G))
+    return max(cc, min_clique_cover_size(G)) if 0 in G.masks else cc
 
 
 def _conflict(C: list[list[Optional[int]]], e: tuple[int, int], f: tuple[int, int]) -> bool:

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -507,6 +508,17 @@ class TestPreparedInstance:
         odd = [[e for e in d if e != INF and e.finite % 2 == 1] for d in diagonals]
         assert all(odd)
         assert decompose_cp_detailed(self.INPUTS[-1])[1][2] == TAIL_SEARCH
+
+    def test_tail_search_is_bounded_by_nodes_only(self, monkeypatch):
+        # a clock that jumps 100 s per read would stop any timed search at
+        # its first check; the tail's factors must not depend on it
+        A = self.INPUTS[-1]
+        expected, _ = decompose_cp_detailed(A)
+        clock = itertools.count(0.0, 100.0)
+        monkeypatch.setattr(rank_mod, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        dec, (_, _, tail_mode) = decompose_cp_detailed(A)
+        assert tail_mode == TAIL_SEARCH
+        assert dec.factors == expected.factors
 
     def test_one_grid_pass_and_one_verification_per_decompose(self, calls):
         for A in self.INPUTS:

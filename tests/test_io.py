@@ -184,6 +184,7 @@ MALFORMED_FILES = [
     (".tgraph", "3 1\n1 2 3\n", "edge line 1 is not 'i j': '1 2 3'"),
     (".tgraph", "3 1\n1\n", "edge line 1 is not 'i j': '1'"),
     (".tgraph", "3 1\n1 b\n", "bad endpoints on edge line 1: '1 b'"),
+    (".tgraph", "3 -1\n", "edge count must be >= 0, got -1"),
 ]
 
 
@@ -203,6 +204,14 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
+
+    def test_cli_names_a_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bom.tmat"
+        path.write_bytes(b"\xff\xfe2\n0 0\n0 0\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text: invalid start byte at offset 0\n"
 
 
 class TestReports:

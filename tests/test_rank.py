@@ -43,6 +43,7 @@ from tropcp.corpus import (
 )
 from tropcp.core import scaled_rows
 from tropcp.generators import generate_instance, random_cp_matrix, random_pattern_graph
+from tropcp.graphs import min_clique_cover_size
 from tropcp.rank import (
     SearchStats,
     _Budget,
@@ -61,6 +62,7 @@ from oracles import (
     skeleton_cp_rank_leq,
     witness_vector,
 )
+from test_graphs import every_graph_up_to
 
 
 class TestFactorSolver:
@@ -1115,6 +1117,11 @@ def _t(v):
     return "inf" if v is None else v
 
 
+def _zero_one_matrix(G):
+    """The 0/1 matrix whose pattern graph is G: 0 on the diagonal and edges."""
+    return SymTropMatrix.from_upper_func(G.n, lambda i, j: 0 if i == j or G.has_edge(i, j) else 1)
+
+
 def _cc_plus_isolated(A):
     """cc of a normalized matrix's pattern graph plus its isolated vertices.
 
@@ -1153,6 +1160,36 @@ class TestIsolatedVertexBound:
             )
         for A in inputs:
             assert _cc_plus_isolated(A) == zero_one_rank(A) == cp_rank_exact(A)[0], A
+
+
+class TestVertexCoverInTheLowerBound:
+    """`rank_lower_bound` is max(cc, theta), theta the minimum vertex clique
+    cover, but it searches theta only on a pattern with an isolated vertex:
+    otherwise theta <= cc."""
+
+    def test_is_the_max_of_both_covers(self):
+        inputs = [_zero_one_matrix(G) for G in every_graph_up_to(5)]
+        inputs += [_seeded_instance(seed) for seed in range(200)]
+        inputs += [*_three_by_three(), *map(_sampled_four_by_four, range(24))]
+        for A in inputs:
+            G = pattern_graph(A)
+            theta = min_clique_cover_size(G)
+            assert rank_lower_bound(A) == max(edge_clique_cover_number(G)[0], theta), A
+
+    @pytest.mark.parametrize(
+        "A, calls", [(paw_matrix(1, 2), 0), (flat_3x3_normalized(), 1)], ids=["paw", "isolated"]
+    )
+    def test_searches_the_vertex_cover_only_with_an_isolated_vertex(self, monkeypatch, A, calls):
+        seen = []
+
+        def counted(G):
+            seen.append(G)
+            return min_clique_cover_size(G)
+
+        monkeypatch.setattr(rank_mod, "min_clique_cover_size", counted)
+        assert (0 in pattern_graph(A).masks) == bool(calls)
+        cp_rank_exact(A)
+        assert len(seen) == calls
 
 
 class TestStructuralInvariants:
