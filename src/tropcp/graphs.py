@@ -8,25 +8,27 @@ and every query and search here reads those masks.  A vertex clique cover
 
     k + sum_i (i-1) q_i + k*l + floor(l^2 / 4)
 
-One search, `CliquePartitions`, walks the partitions of the vertex set
-into cliques under part-count and bound limits.  It gives the exact
-minimum of this bound over all covers (`min_cover_bound`) and the fewest
-cliques covering the vertices (`min_clique_cover_size`).  `max_clique`
-gives the clique number that prunes it and the rank module's fooling
-sets, and an exact edge-clique-cover solver branches over maximal
-cliques held as edge bitmasks.  One greedy colouring (`_colour_classes`,
-Tomita and Seki's bound) orders and prunes `max_clique` and bounds the
-clique number of what a partition leaves uncovered.  All are exponential,
-for desk-scale graphs; pruned by the least bound any completion can
-reach and by skipping subtrees that yielded nothing, the cover-bound
-search takes under a second on a dense n = 16 pattern.
+`min_cover_bound` gives the exact minimum of this bound over all covers.
+A partition's bound depends only on its size profile (the sizes >= 2)
+and n, so it tries profiles in increasing bound order and asks of each
+whether G has disjoint cliques of those sizes (`_Packing`), then builds
+the least cover of the first that does.  `min_clique_cover_size`, the
+fewest cliques covering the vertices, branches over maximal cliques, as
+the exact edge-clique-cover solver does with cliques held as edge
+bitmasks.  `max_clique` gives the clique number that bounds the profiles
+and the rank module's fooling sets.  One greedy colouring
+(`_colour_classes`, Tomita and Seki's bound) orders and prunes
+`max_clique` and bounds what a packing or a split can still place.  All
+are exponential, for desk-scale graphs; the cover-bound search takes
+milliseconds on the n = 20 dense patterns and K24.
 """
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -238,34 +240,12 @@ def cover_bound(cover: CliqueCover) -> int:
     return ordered_cover_bound(cover.sizes, cover.singleton_count)
 
 
-def _cliques_containing(allowed: int, masks: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """(clique, bitmask) for each clique within `allowed` that holds its lowest vertex.
-
-    Members are grown in increasing order, so each clique appears once and
-    already sorted.  Returned largest first, then lexicographically.
-    """
-    v = (allowed & -allowed).bit_length() - 1
-    found: list[tuple[tuple[int, ...], int]] = []
-
-    def grow(members: tuple[int, ...], bits: int, candidates: int) -> None:
-        found.append((members, bits))
-        m = candidates
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            grow(members + (u,), bits | low, candidates & masks[u] & ~((low << 1) - 1))
-
-    grow((v,), 1 << v, masks[v] & allowed & ~((2 << v) - 1))
-    found.sort(key=lambda c: (-len(c[0]), c[0]))
-    return found
-
-
 def _colour_classes(vertices: int, masks: Sequence[int]) -> list[int]:
     """A greedy colouring of the bitmask `vertices`, one bitmask per colour:
     each colour takes the lowest uncoloured vertex not adjacent to one it
-    already holds.  A clique needs a colour per vertex, so there are at
-    least its clique number of classes (Tomita and Seki's bound)."""
+    already holds.  A clique holds at most one vertex per class, so there
+    are at least its clique number of classes (Tomita and Seki's bound),
+    and a class of c vertices meets at least c parts of a clique cover."""
     classes = []
     while vertices:
         colour, free = 0, vertices
@@ -321,145 +301,170 @@ def max_clique(adj: Sequence[int], deadline: float = math.inf) -> list[int]:
     return sorted(best)
 
 
-def completion_bound(k: int, l: int, r: int, omega: int) -> int:
-    """Least cover bound, less the sum_i (i-1) q_i so far, of a partition
-    completing k parts of size >= 2 and l singletons with r more vertices
-    in cliques of at most omega.  That sum adds the smaller size of each
-    pair of parts of size >= 2, so a new one adds at least 2 per other one,
-    old or new; `a` new ones leave at least r - a*omega singletons.  At
-    r = 0 this is the partial partition's own bound less the sum."""
-    return min(
-        (k + a) * (1 + s) + 2 * k * a + a * (a - 1) + s * s // 4
-        for a in range(r // 2 + 1 if omega > 1 else 1)
-        for s in (l + max(0, r - a * omega),)
-    )
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
-class CliquePartitions:
-    """Iterating yields `(parts, bound)` for each partition of G's vertices
-    into cliques, with its cover bound, in canonical order: lowest
-    uncovered vertex first, its cliques largest first, then lexicographic.
-    It serves the two vertex-cover searches below, not the rank search.
+def _cliques(masks: Sequence[int], allowed: int, size: int) -> Iterator[int]:
+    """Bitmasks of the cliques of `size` vertices within `allowed`, lazily
+    and in tuple order: members are added in increasing order, depth first,
+    until members and candidates together fall short of `size`."""
+    stack = [(size, 0, allowed)]  # (members still needed, members, candidates)
+    while stack:
+        need, bits, m = stack.pop()
+        if not need:
+            yield bits
+            continue
+        children = []
+        while m.bit_count() >= need:
+            low = m & -m
+            m ^= low
+            children.append((need - 1, bits | low, m & masks[low.bit_length() - 1]))
+        stack += reversed(children)
 
-    A child leaving `left` vertices uncovered, in cliques of at most
-    omega' = min(omega, classes of `_colour_classes` of the rest), needs
-    ceil(left / omega') more parts, and no completion of it has a bound
-    below its sum_i (i-1) q_i plus `completion_bound`; it is skipped when
-    the first is above `max_parts` or the second above `max_bound`.  While
-    `max_bound` is above every bound, inner children skip the second.
-    Callers may lower either limit between yields, and may only lower it;
-    both are reread after each child entered.  A child whose subtree
-    yielded nothing is not entered again in that iteration: its uncovered
-    rest and its sizes >= 2 (which leave its singleton count) fix every
-    bound and part count below it, so lower limits cannot let it yield.
-    The sum is kept incrementally (sizes >= 2 sorted with `bisect`), each
-    uncovered set's branch list is built once, and each completion bound
-    once per (parts of size >= 2, singletons, vertices left, omega').
-    """
 
-    def __init__(self, G: PatternGraph, max_parts: int | None = None):
-        self.full = (1 << G.n) - 1
-        self.masks = G.masks
-        self.omega = len(max_clique(G.masks))
-        # ints, not inf: the limits are compared in the innermost loop
-        self.max_parts = G.n if max_parts is None else max_parts
-        self.max_bound = G.n * G.n
-        self._branches: dict[int, list[tuple[tuple[int, ...], int, int, int, int, int]]] = {}
-        self._completions: dict[tuple[int, int, int, int], int] = {}
+def _profiles(left: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every descending tuple of part sizes in [2, cap] summing to at most `left`."""
+    yield ()
+    for q in range(min(cap, left), 1, -1):
+        for rest in _profiles(left - q, q):
+            yield (q,) + rest
 
-    def __iter__(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-        masks, omega, branches = self.masks, self.omega, self._branches
-        completions = self._completions
-        unbounded = len(masks) ** 2  # no cover bound reaches n*n
-        parts: list[tuple[int, ...]] = []
-        sizes: list[int] = []  # sizes >= 2 of the parts, ascending
-        dead: set[tuple[int, tuple[int, ...]]] = set()
-        yields = 0
 
-        def search(uncovered: int, weighted: int, l: int, depth: int):
-            # weighted: sum_i (i-1) q_i over the sizes >= 2; l: singletons;
-            # depth: the part count of each child
-            nonlocal yields
-            cliques = branches.get(uncovered)
-            if cliques is None:
-                # (clique, uncovered rest, parts the rest still needs, size,
-                # vertices the rest holds, omega' of the rest: 1 when empty)
-                cliques = branches[uncovered] = []
-                left = uncovered.bit_count()
-                for clique, mask in _cliques_containing(uncovered, masks):
-                    rest, q = uncovered ^ mask, len(clique)
-                    omega_rest = min(omega, len(_colour_classes(rest, masks))) or 1
-                    need = -((q - left) // omega_rest)
-                    cliques.append((clique, rest, need, q, left - q, omega_rest))
-            k = len(sizes)
-            slack, max_bound = self.max_parts - depth, self.max_bound
-            for clique, rest, need, q, r, omega_rest in cliques:
-                if need > slack:
-                    continue
-                if q == 1:
-                    pos, kk, w, ll = -1, k, weighted, l + 1
-                else:
-                    # q goes after the sizes >= q in descending order; each
-                    # smaller size moves one place down
-                    pos = bisect.bisect_left(sizes, q)
-                    kk, w, ll = k + 1, weighted + (k - pos) * q + sum(sizes[:pos]), l
-                if not rest or max_bound < unbounded:
-                    key = (kk, ll, r, omega_rest)
-                    tail = completions.get(key)
-                    if tail is None:
-                        tail = completions[key] = completion_bound(*key)
-                    bound = w + tail  # the child's own bound once r == 0
-                    if bound > max_bound:
-                        continue
-                parts.append(clique)
-                if not rest:
-                    yields += 1
-                    yield tuple(parts), bound
-                else:
-                    if pos >= 0:
-                        sizes.insert(pos, q)
-                    state = (rest, tuple(sizes))  # with the rest, the sizes fix ll
-                    if state not in dead:
-                        before = yields
-                        yield from search(rest, w, ll, depth + 1)
-                        if yields == before:
-                            dead.add(state)
-                    if pos >= 0:
-                        del sizes[pos]
-                parts.pop()
-                slack, max_bound = self.max_parts - depth, self.max_bound
+class _Packing:
+    """Whether G has disjoint cliques of given sizes: `fits(sizes,
+    uncovered, after)` places the sizes, descending, within the bitmask
+    `uncovered`, each size's cliques in increasing order of their lowest
+    vertex (disjoint cliques of one size compare by it), the first above
+    `after`; each answer is kept.  A greedy colouring of what is left
+    prunes it: the largest size is at most the number of classes, and a
+    class's vertices beyond the number of sizes stay uncovered, as do
+    those below `after` once only one size is left."""
 
-        return search(self.full, 0, 0, 1)
+    def __init__(self, G: PatternGraph):
+        self.masks, self.full = G.masks, (1 << G.n) - 1
+        self.known: dict[tuple[tuple[int, ...], int, int], bool] = {}
+        self.unpacked: list[tuple[int, ...]] = []  # profiles that do not fit in G
+
+    def packs(self, profile: tuple[int, ...]) -> bool:
+        """fits(profile, all vertices); false at once when part by part it is
+        at least a profile known not to pack, since shrinking parts keeps a
+        packing."""
+        if any(all(map(operator.ge, profile, f)) for f in self.unpacked if len(f) <= len(profile)):
+            return False
+        fits = self.fits(profile, self.full)
+        if not fits:
+            self.unpacked.append(profile)
+        return fits
+
+    def fits(self, sizes: tuple[int, ...], uncovered: int, after: int = -1) -> bool:
+        if not sizes:
+            return True
+        key = (sizes, uncovered, after)
+        if key not in self.known:
+            self.known[key] = self._place(sizes, uncovered, after)
+        return self.known[key]
+
+    def _place(self, sizes: tuple[int, ...], uncovered: int, after: int) -> bool:
+        room = uncovered & -(1 << after + 1)  # where the first clique may lie
+        if sizes[-1] == sizes[0]:
+            uncovered = room
+        spare = uncovered.bit_count() - sum(sizes)
+        classes = _colour_classes(uncovered, self.masks)
+        excess = sum(max(0, c.bit_count() - len(sizes)) for c in classes)
+        if sizes[0] > len(classes) or excess > spare:
+            return False
+        rest = sizes[1:]
+        same = rest[:1] == sizes[:1]
+        return any(
+            self.fits(rest, uncovered ^ bits, (bits & -bits).bit_length() - 1 if same else -1)
+            for bits in _cliques(self.masks, room, sizes[0])
+        )
 
 
 def min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
     """Exact minimum of the cover bound over all vertex clique covers.
 
-    Any cover can be shrunk to a partition of the vertex set into cliques
-    without increasing the bound, so this walks `CliquePartitions`,
-    lowering `max_bound` to each bound found; no later partition exceeds
-    it.  Ties break toward the canonically smallest clique list.  The n
-    singletons have bound floor(n^2/4) and the smallest clique list of
-    all, so they win every tie there: the search starts one below it and
-    falls back to them when it finds nothing, as on every triangle-free
-    pattern.
+    Any cover shrinks to a partition into cliques without raising the
+    bound, and a partition's bound depends only on its size profile q (the
+    descending sizes >= 2) and its n - sum(q) singletons.  As any vertex
+    may be a singleton, q belongs to a partition exactly when G has
+    disjoint cliques of sizes q (`_Packing`).  Profiles are tried in
+    increasing bound order below the n singletons' floor(n^2/4), which win
+    every tie there as the least clique list and are returned when no
+    profile packs, as on every triangle-free pattern.  Ties break toward
+    the least `CliqueCover.cliques`, built part by part: the lowest
+    uncovered vertex as a singleton when the rest as singletons reach the
+    minimum (it sorts before every clique left), else the first clique in
+    tuple order, no larger than the last part and after it when of equal
+    size, that leaves a packable completion of a minimal profile.
     """
-    search = CliquePartitions(G)
-    best, best_key = G.n * G.n // 4, tuple((v,) for v in range(G.n))
-    search.max_bound = best - 1
-    for parts, bound in search:
-        key = tuple(sorted(parts, key=lambda c: (-len(c), c)))
-        if bound < best or key < best_key:
-            best_key, best, search.max_bound = key, bound, bound
-    return CliqueCover(best_key), best
+    n, packing = G.n, _Packing(G)
+    floor = n * n // 4
+    by_bound: dict[int, list[tuple[int, ...]]] = {}
+    for q in _profiles(n, len(max_clique(G.masks))):
+        if (bound := ordered_cover_bound(q, n - sum(q))) < floor:
+            by_bound.setdefault(bound, []).append(q)
+    for best in sorted(by_bound):
+        # the packable minimal profiles; below, those extending `parts`
+        live = [q for q in by_bound[best] if packing.packs(q)]
+        if live:
+            break
+    else:
+        return CliqueCover((v,) for v in range(n)), floor
+    parts: list[tuple[int, ...]] = []
+    uncovered = packing.full
+    while ordered_cover_bound([len(c) for c in parts], uncovered.bit_count()) > best:
+        depth = len(parts)
+        sizes = {q[depth] for q in live}
+        walks = [((tuple(_bits(b)), b) for b in _cliques(G.masks, uncovered, s)) for s in sizes]
+        for clique, bits in heapq.merge(*walks):
+            if parts and len(clique) == len(parts[-1]) and clique < parts[-1]:
+                continue
+            size, rest = len(clique), uncovered ^ bits
+            extended = [
+                q
+                for q in live
+                if q[depth] == size
+                and packing.fits(q[depth + 1 :], rest, clique[0] if size in q[depth + 1 :] else -1)
+            ]
+            if extended:
+                parts.append(clique)
+                uncovered, live = rest, extended
+                break
+    return CliqueCover(parts + [(v,) for v in _bits(uncovered)]), best
 
 
 def min_clique_cover_size(G: PatternGraph) -> int:
-    """Minimum number of cliques covering all vertices (cardinality, not bound)."""
-    search = CliquePartitions(G, max_parts=G.n - 1)  # n singletons always cover
-    for parts, _ in search:
-        search.max_parts = len(parts) - 1
-    return search.max_parts + 1
+    """Minimum number of cliques covering all vertices (cardinality, not
+    bound): the least t for which the vertices split into t cliques.  A
+    split branches on the vertex with the fewest neighbours left, whose
+    part may be grown to a maximal clique of what is left (the other parts
+    only shrink), and stops once a class of a greedy colouring
+    (`_colour_classes`) holds more vertices than parts left, since a part
+    holds at most one of them.  Each answer is kept."""
+    masks = G.masks
+    known: dict[tuple[int, int], bool] = {}
+
+    def splits(uncovered: int, parts: int) -> bool:
+        if not uncovered:
+            return True
+        if max(c.bit_count() for c in _colour_classes(uncovered, masks)) > parts:
+            return False
+        key = (uncovered, parts)
+        if key not in known:
+            v = min(_bits(uncovered), key=lambda u: (masks[u] & uncovered).bit_count())
+            rest = uncovered ^ (1 << v)
+            cliques = _maximal_cliques(masks, masks[v] & rest)
+            cliques.sort(key=int.bit_count, reverse=True)
+            known[key] = any(splits(rest & ~c, parts - 1) for c in cliques)
+        return known[key]
+
+    return next(t for t in range(1, G.n + 1) if splits((1 << G.n) - 1, t))
 
 
 def is_small_empty_pattern(G: PatternGraph) -> bool:
@@ -499,35 +504,29 @@ class EdgeCliqueCover:
         return {e for c in self.cliques for e in itertools.combinations(c, 2)} >= G.edges
 
 
-def maximal_cliques(G: PatternGraph) -> list[tuple[int, ...]]:
-    """All maximal cliques (Bron-Kerbosch with pivot), canonically ordered."""
-    masks = G.masks
-    out: list[tuple[int, ...]] = []
+def _maximal_cliques(masks: Sequence[int], allowed: int) -> list[int]:
+    """Bitmasks of the maximal cliques among the vertices `allowed`
+    (Bron-Kerbosch with pivot); [0] when none is allowed."""
+    out: list[int] = []
 
-    def expand(r: list[int], p: int, x: int) -> None:
+    def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            out.append(tuple(sorted(r)))
+            out.append(r)
             return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = -1
-        m = pivot_pool
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (p & masks[u]).bit_count()
-            if deg > best:
-                best, pivot = deg, u
-        m = p & ~masks[pivot]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            expand(r + [v], p & masks[v], x & masks[v])
+        pivot = max(_bits(p | x), key=lambda u: (p & masks[u]).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            expand(r | 1 << v, p & masks[v], x & masks[v])
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand([], (1 << G.n) - 1, 0)
-    return sorted(out, key=lambda c: (-len(c), c))
+    expand(0, allowed, 0)
+    return out
+
+
+def maximal_cliques(G: PatternGraph) -> list[tuple[int, ...]]:
+    """All maximal cliques, canonically ordered."""
+    cliques = (tuple(_bits(c)) for c in _maximal_cliques(G.masks, (1 << G.n) - 1))
+    return sorted(cliques, key=lambda c: (-len(c), c))
 
 
 def edge_clique_cover_number(G: PatternGraph) -> tuple[int, EdgeCliqueCover]:

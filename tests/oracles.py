@@ -14,15 +14,21 @@ versions of its integer kernels, on `TropScalar` and `Fraction` values
 and without memos or incremental state; the kernels must agree with them
 exactly.  `reference_solve_factor_system` is the Fourier-Motzkin solver
 that built the exact-rank search's leaf witnesses before the integer
-UTVPI kernel did.  The clique-partition references are the three
-separate recursions that `graphs.CliquePartitions` replaced, with their
-own clique lister, so the library's search is checked against code it
-does not call.  `reference_is_completely_positive`, `reference_normalize`,
+UTVPI kernel did.  The clique-partition references are three separate
+recursions with their own clique lister.  `CliquePartitions` (with
+`_cliques_containing` and `completion_bound`) is the partition walk that
+`graphs.min_cover_bound` and `graphs.min_clique_cover_size` ran before
+they searched size profiles and maximal cliques: it yields every
+partition of the vertices into cliques, pruned by part-count and bound
+limits, and `partition_min_cover_bound` and
+`partition_min_clique_cover_size` are those two functions as they were
+on it, kept verbatim, so the library's searches are checked against code
+they do not call.  `reference_is_completely_positive`, `reference_normalize`,
 `reference_restore_matrix` and `reference_lift_factor` are the analysis
 layer's `TropScalar` versions, from before it moved onto the integer grid.
 `skeleton_cp_rank_leq` is the exact-rank search before it assigned every
 finite entry in one search: an outer walk over the zero-set skeletons of
-`graphs.CliquePartitions` and, inside each, a DFS over the off-diagonal
+`CliquePartitions` and, inside each, a DFS over the off-diagonal
 entries in value order, on the library's factor kernel.  `dressed` turns
 a normalized matrix into inputs that are not normalized, for comparing a
 path that prepares its input with `normalize` and `lift_decomposition`.
@@ -30,6 +36,7 @@ path that prepares its input with `normalize` and `lift_decomposition`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import time
@@ -52,7 +59,7 @@ from tropcp import (
 )
 from tropcp.analysis import require_normalized
 from tropcp.core import Decomposition, scaled_rows
-from tropcp.graphs import CliquePartitions, pattern_graph
+from tropcp.graphs import _colour_classes, max_clique, pattern_graph
 from tropcp.rank import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIMEOUT_S,
@@ -396,6 +403,170 @@ def reference_min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
     search(full, [])
     assert best_cover is not None and best_bound is not None
     return CliqueCover(best_cover), best_bound
+
+
+def _cliques_containing(allowed: int, masks: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(clique, bitmask) for each clique within `allowed` that holds its lowest vertex.
+
+    Members are grown in increasing order, so each clique appears once and
+    already sorted.  Returned largest first, then lexicographically.
+    """
+    v = (allowed & -allowed).bit_length() - 1
+    found: list[tuple[tuple[int, ...], int]] = []
+
+    def grow(members: tuple[int, ...], bits: int, candidates: int) -> None:
+        found.append((members, bits))
+        m = candidates
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            grow(members + (u,), bits | low, candidates & masks[u] & ~((low << 1) - 1))
+
+    grow((v,), 1 << v, masks[v] & allowed & ~((2 << v) - 1))
+    found.sort(key=lambda c: (-len(c[0]), c[0]))
+    return found
+
+
+def completion_bound(k: int, l: int, r: int, omega: int) -> int:
+    """Least cover bound, less the sum_i (i-1) q_i so far, of a partition
+    completing k parts of size >= 2 and l singletons with r more vertices
+    in cliques of at most omega.  That sum adds the smaller size of each
+    pair of parts of size >= 2, so a new one adds at least 2 per other one,
+    old or new; `a` new ones leave at least r - a*omega singletons.  At
+    r = 0 this is the partial partition's own bound less the sum."""
+    return min(
+        (k + a) * (1 + s) + 2 * k * a + a * (a - 1) + s * s // 4
+        for a in range(r // 2 + 1 if omega > 1 else 1)
+        for s in (l + max(0, r - a * omega),)
+    )
+
+
+class CliquePartitions:
+    """Iterating yields `(parts, bound)` for each partition of G's vertices
+    into cliques, with its cover bound, in canonical order: lowest
+    uncovered vertex first, its cliques largest first, then lexicographic.
+    It serves the two vertex-cover searches below, not the rank search.
+
+    A child leaving `left` vertices uncovered, in cliques of at most
+    omega' = min(omega, classes of `_colour_classes` of the rest), needs
+    ceil(left / omega') more parts, and no completion of it has a bound
+    below its sum_i (i-1) q_i plus `completion_bound`; it is skipped when
+    the first is above `max_parts` or the second above `max_bound`.  While
+    `max_bound` is above every bound, inner children skip the second.
+    Callers may lower either limit between yields, and may only lower it;
+    both are reread after each child entered.  A child whose subtree
+    yielded nothing is not entered again in that iteration: its uncovered
+    rest and its sizes >= 2 (which leave its singleton count) fix every
+    bound and part count below it, so lower limits cannot let it yield.
+    The sum is kept incrementally (sizes >= 2 sorted with `bisect`), each
+    uncovered set's branch list is built once, and each completion bound
+    once per (parts of size >= 2, singletons, vertices left, omega').
+    """
+
+    def __init__(self, G: PatternGraph, max_parts: int | None = None):
+        self.full = (1 << G.n) - 1
+        self.masks = G.masks
+        self.omega = len(max_clique(G.masks))
+        # ints, not inf: the limits are compared in the innermost loop
+        self.max_parts = G.n if max_parts is None else max_parts
+        self.max_bound = G.n * G.n
+        self._branches: dict[int, list[tuple[tuple[int, ...], int, int, int, int, int]]] = {}
+        self._completions: dict[tuple[int, int, int, int], int] = {}
+
+    def __iter__(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+        masks, omega, branches = self.masks, self.omega, self._branches
+        completions = self._completions
+        unbounded = len(masks) ** 2  # no cover bound reaches n*n
+        parts: list[tuple[int, ...]] = []
+        sizes: list[int] = []  # sizes >= 2 of the parts, ascending
+        dead: set[tuple[int, tuple[int, ...]]] = set()
+        yields = 0
+
+        def search(uncovered: int, weighted: int, l: int, depth: int):
+            # weighted: sum_i (i-1) q_i over the sizes >= 2; l: singletons;
+            # depth: the part count of each child
+            nonlocal yields
+            cliques = branches.get(uncovered)
+            if cliques is None:
+                # (clique, uncovered rest, parts the rest still needs, size,
+                # vertices the rest holds, omega' of the rest: 1 when empty)
+                cliques = branches[uncovered] = []
+                left = uncovered.bit_count()
+                for clique, mask in _cliques_containing(uncovered, masks):
+                    rest, q = uncovered ^ mask, len(clique)
+                    omega_rest = min(omega, len(_colour_classes(rest, masks))) or 1
+                    need = -((q - left) // omega_rest)
+                    cliques.append((clique, rest, need, q, left - q, omega_rest))
+            k = len(sizes)
+            slack, max_bound = self.max_parts - depth, self.max_bound
+            for clique, rest, need, q, r, omega_rest in cliques:
+                if need > slack:
+                    continue
+                if q == 1:
+                    pos, kk, w, ll = -1, k, weighted, l + 1
+                else:
+                    # q goes after the sizes >= q in descending order; each
+                    # smaller size moves one place down
+                    pos = bisect.bisect_left(sizes, q)
+                    kk, w, ll = k + 1, weighted + (k - pos) * q + sum(sizes[:pos]), l
+                if not rest or max_bound < unbounded:
+                    key = (kk, ll, r, omega_rest)
+                    tail = completions.get(key)
+                    if tail is None:
+                        tail = completions[key] = completion_bound(*key)
+                    bound = w + tail  # the child's own bound once r == 0
+                    if bound > max_bound:
+                        continue
+                parts.append(clique)
+                if not rest:
+                    yields += 1
+                    yield tuple(parts), bound
+                else:
+                    if pos >= 0:
+                        sizes.insert(pos, q)
+                    state = (rest, tuple(sizes))  # with the rest, the sizes fix ll
+                    if state not in dead:
+                        before = yields
+                        yield from search(rest, w, ll, depth + 1)
+                        if yields == before:
+                            dead.add(state)
+                    if pos >= 0:
+                        del sizes[pos]
+                parts.pop()
+                slack, max_bound = self.max_parts - depth, self.max_bound
+
+        return search(self.full, 0, 0, 1)
+
+
+def partition_min_cover_bound(G: PatternGraph) -> tuple[CliqueCover, int]:
+    """Exact minimum of the cover bound over all vertex clique covers.
+
+    Any cover can be shrunk to a partition of the vertex set into cliques
+    without increasing the bound, so this walks `CliquePartitions`,
+    lowering `max_bound` to each bound found; no later partition exceeds
+    it.  Ties break toward the canonically smallest clique list.  The n
+    singletons have bound floor(n^2/4) and the smallest clique list of
+    all, so they win every tie there: the search starts one below it and
+    falls back to them when it finds nothing, as on every triangle-free
+    pattern.
+    """
+    search = CliquePartitions(G)
+    best, best_key = G.n * G.n // 4, tuple((v,) for v in range(G.n))
+    search.max_bound = best - 1
+    for parts, bound in search:
+        key = tuple(sorted(parts, key=lambda c: (-len(c), c)))
+        if bound < best or key < best_key:
+            best_key, best, search.max_bound = key, bound, bound
+    return CliqueCover(best_key), best
+
+
+def partition_min_clique_cover_size(G: PatternGraph) -> int:
+    """Minimum number of cliques covering all vertices (cardinality, not bound)."""
+    search = CliquePartitions(G, max_parts=G.n - 1)  # n singletons always cover
+    for parts, _ in search:
+        search.max_parts = len(parts) - 1
+    return search.max_parts + 1
 
 
 class _Infeasible(Exception):

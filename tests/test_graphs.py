@@ -37,21 +37,23 @@ from tropcp.corpus import (
     rank_six_5x5,
 )
 from tropcp.analysis import normalize
-from tropcp.generators import random_cp_matrix, random_pattern_graph
+from tropcp.generators import generate_instance, random_cp_matrix, random_pattern_graph
 from tropcp.graphs import (
-    CliquePartitions,
     _colour_classes,
-    completion_bound,
     cover_bound_terms,
     max_clique,
 )
 
 import oracles
 from oracles import (
+    CliquePartitions,
     all_cliques,
     brute_edge_clique_cover,
     brute_least_edge_clique_cover,
     brute_min_cover_bound,
+    completion_bound,
+    partition_min_clique_cover_size,
+    partition_min_cover_bound,
     reference_clique_partitions,
     reference_min_clique_cover_size,
     reference_min_cover_bound,
@@ -314,6 +316,25 @@ class TestMinCoverBound:
             assert bound == G.n * G.n // 4
             assert cover.cliques == tuple((v,) for v in range(G.n))
 
+    def test_clique_walks_on_a_dense_catalogue_pattern_and_a_cycle(self, monkeypatch):
+        # the benchmark catalogue's dense n = 13 matrix with seed 1310 packs
+        # triangles and edges; the 14-cycle's profiles are all of 2s, none
+        # beats the singletons' floor(14^2/4), and no clique is listed
+        walked = []
+
+        def counting(masks, allowed, size):
+            walked.append(size)
+            return cliques(masks, allowed, size)
+
+        cliques = graphs_mod._cliques
+        monkeypatch.setattr(graphs_mod, "_cliques", counting)
+        G = pattern_graph(normalize(random_cp_matrix(13, 1310))[0])
+        assert min_cover_bound(G)[1] == 28
+        assert len(walked) == 32 and set(walked) == {2, 3}
+        walked.clear()
+        assert min_cover_bound(cycle(14))[1] == 49
+        assert walked == []
+
 
 def skeletons_searched(monkeypatch, G, r):
     """The zero-set skeletons the reference `skeleton_cp_rank_leq` tries, in
@@ -391,8 +412,8 @@ class TestCliquePartitions:
             listed.append(allowed)
             return cliques_containing(allowed, masks)
 
-        cliques_containing = graphs_mod._cliques_containing
-        monkeypatch.setattr(graphs_mod, "_cliques_containing", counting)
+        cliques_containing = oracles._cliques_containing
+        monkeypatch.setattr(oracles, "_cliques_containing", counting)
         for G in every_graph_up_to(5):
             partitions = CliquePartitions(G)
             search = iter(partitions)
@@ -401,26 +422,6 @@ class TestCliquePartitions:
             before = len(listed)
             assert next(search, None) is None
             assert len(listed) == before
-
-    def test_branch_lists_on_a_dense_catalogue_pattern_and_a_cycle(self, monkeypatch):
-        # the benchmark catalogue's dense n = 13 matrix with seed 1310, and
-        # the 14-cycle, whose every child is cut at the root: no partition
-        # beats the singletons' floor(14^2/4)
-        listed = []
-
-        def counting(allowed, masks):
-            listed.append(allowed)
-            return cliques_containing(allowed, masks)
-
-        cliques_containing = graphs_mod._cliques_containing
-        monkeypatch.setattr(graphs_mod, "_cliques_containing", counting)
-        G = pattern_graph(normalize(random_cp_matrix(13, 1310))[0])
-        assert min_cover_bound(G)[1] == 28
-        assert len(listed) == 253
-        listed.clear()
-        assert min_cover_bound(cycle(14))[1] == 49
-        assert len(listed) == 1
-
 
 class TestColourCount:
     @settings(max_examples=200, deadline=None)
@@ -480,6 +481,105 @@ class TestMinCliqueCoverSize:
     @given(graphs_up_to(10))
     def test_matches_reference_search(self, G):
         assert min_clique_cover_size(G) == reference_min_clique_cover_size(G)
+
+
+def cocktail_party(n):
+    """K_n less a perfect matching: vertex v misses v + n/2."""
+    return PatternGraph(
+        n, [(a, b) for a, b in itertools.combinations(range(n), 2) if b - a != n // 2]
+    )
+
+
+def turan(n, r):
+    """The complete r-partite graph on n vertices, part v mod r."""
+    return PatternGraph(
+        n, [(a, b) for a, b in itertools.combinations(range(n), 2) if a % r != b % r]
+    )
+
+
+def cycle_complement(n):
+    return PatternGraph(
+        n, [(a, b) for a, b in itertools.combinations(range(n), 2) if b - a not in (1, n - 1)]
+    )
+
+
+def catalogue_patterns():
+    """The pattern graphs of the benchmark catalogue's 72 dense and 72 sparse
+    decompose entries, rebuilt from their generator seeds."""
+    for n in range(8, 14):
+        for s in range(12):
+            yield pattern_graph(normalize(random_cp_matrix(n, 100 * n + s))[0])
+            G = random_pattern_graph(n, 600 * n + s, (0.15, 0.2)[s % 2])
+            yield pattern_graph(normalize(generate_instance(G, 6000 + 100 * n + s))[0])
+
+
+class TestAgainstPartitionWalk:
+    """Both vertex-cover searches against the clique-partition walk they
+    replaced (`oracles.partition_min_cover_bound` and
+    `partition_min_clique_cover_size`), which lists every partition."""
+
+    @staticmethod
+    def agree(G):
+        assert min_cover_bound(G) == partition_min_cover_bound(G)
+        assert min_clique_cover_size(G) == partition_min_clique_cover_size(G)
+
+    def test_every_graph_up_to_five(self):
+        for G in every_graph_up_to(5):
+            self.agree(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_up_to(12))
+    def test_hypothesis_graphs(self, G):
+        self.agree(G)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.85, 0.95])
+    def test_seeded_graphs_from_13_to_16_vertices(self, p):
+        for n in range(13, 17):
+            self.agree(random_pattern_graph(n, 100 * n + round(100 * p), p))
+
+    def test_catalogue_patterns(self):
+        patterns = list(catalogue_patterns())
+        assert len(patterns) == 144
+        for G in patterns:
+            self.agree(G)
+
+    @pytest.mark.parametrize(
+        "G, bound",
+        [
+            (cocktail_party(10), 7),
+            (cocktail_party(12), 8),
+            (cocktail_party(14), 9),
+            (cocktail_party(16), 10),
+            (turan(12, 3), 22),
+            (turan(12, 4), 15),
+            (turan(15, 3), 35),
+            (turan(15, 5), 18),
+            (turan(16, 4), 28),
+            (cycle_complement(10), 7),
+            (cycle_complement(13), 10),
+            (cycle_complement(16), 10),
+            (PatternGraph.complete(16), 1),
+            (PatternGraph(20, set(itertools.combinations(range(20), 2)) - {(0, 1)}), 2),
+            (PatternGraph.complete(24), 1),
+            (random_pattern_graph(20, 5, 0.7), 27),
+        ],
+        ids=[
+            "cocktail10", "cocktail12", "cocktail14", "cocktail16",
+            "T12_3", "T12_4", "T15_3", "T15_5", "T16_4",
+            "coC10", "coC13", "coC16", "K16", "K20-e", "K24", "rpg20_5_07",
+        ],
+    )
+    def test_pinned_bounds(self, G, bound):
+        # each value checked against the partition walk, which takes up to
+        # a minute on K24; many clique partitions share each profile here
+        cover, got = min_cover_bound(G)
+        assert got == bound
+        assert cover.covers(G) and cover_bound(cover) == bound
+
+    def test_pinned_clique_cover_size(self):
+        # the probe 26/0.5/4, where the partition walk took 19 s
+        G = pattern_graph(generate_instance(random_pattern_graph(26, 4, 0.5), 104))
+        assert min_clique_cover_size(G) == 7
 
 
 class TestUpperBound:
