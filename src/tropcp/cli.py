@@ -44,7 +44,7 @@ from .rank import (
     cp_rank_exact,
     prepare_instance,
 )
-from .reports import dump_report, embed_decomposition, make_report, matrix_digest
+from .reports import dump_report, embed_decomposition, make_report, matrix_digest, text_digest
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -92,13 +92,21 @@ def _run(args) -> int:
     code, body, *overrides = args.fn(data, args)
     if isinstance(body, dict):
         fields = {
-            "input_digest": matrix_digest(data) if args.reads == "matrix" else "",
+            "input_digest": _input_digest(data, body) if args.reads == "matrix" else "",
             "timing_s": time.monotonic() - start,
         }
         fields.update(*overrides)
         body = dump_report(make_report(args.command, payload=body, **fields))
     _emit(body, args.out)
     return code
+
+
+def _input_digest(A, payload: dict) -> str:
+    """The input matrix's digest.  A decomposition in the payload is one of
+    the input (`decompose`, a found `rank`), whose target text is already
+    the input's rendering, so that text is hashed instead of a second one."""
+    embedded = payload.get("decomposition")
+    return text_digest(embedded["target"]) if embedded else matrix_digest(A)
 
 
 def _generated(M, raw: bool, payload: dict):

@@ -133,31 +133,62 @@ def _merge_pass(D: Rows, vectors: list[Vector]) -> list[Vector]:
     Entrywise minimum keeps every entry the originals attained (it can only
     attain more), so domination is the only condition to recheck.  Each
     step fuses the first dominating pair (a, b), a < b, in scan order into
-    position a and deletes b.
+    position a and deletes b.  A fused vector has only smaller or more
+    finite entries than either original, so a pair that fails keeps
+    failing: the scan fuses into each accumulator every later vector
+    that passes, in order, and then moves on.
 
-    A fused vector has only smaller or more finite entries than either
-    original, so a pair that fails keeps failing once either of its
-    vectors is fused further.  Every pair before (a, b) in scan order
-    failed and still fails after the merge, so the next dominating pair
-    is at (a, b) or later: the scan resumes there instead of restarting,
-    and makes the same merges.  D and the vectors are on one grid.
+    Only position a is ever rewritten, so every b is an input vector.  An
+    input that does not dominate never fuses (the fused vector keeps its
+    undercut), so domination is tested once per input.  For dominating
+    acc and b, the fused vector takes acc's entries on X (acc below b, or
+    b infinite) and b's on Y (b below acc, or acc infinite); ties go with
+    either.  Pairs within one side are covered by that vector's own
+    domination, so the fusion dominates exactly when acc_s + b_t >=
+    D[s][t] (finite) for every s in X and t in Y: no fused vector is
+    built to test it.  D and the vectors are on one grid.
     """
-    vecs = list(vectors)
-    a = 0
-    while a < len(vecs):
-        b = a + 1
-        while b < len(vecs):
-            merged = [
-                y if x is None else x if y is None or x <= y else y
-                for x, y in zip(vecs[a], vecs[b])
-            ]
-            if _dominates(D, merged):
-                vecs[a] = merged
-                del vecs[b]
-            else:
-                b += 1
-        a += 1
-    return vecs
+    dominating = [_dominates(D, v) for v in vectors]
+    finite = [[(t, x) for t, x in enumerate(v) if x is not None] for v in vectors]
+    absorbed = [False] * len(vectors)
+    out = []
+    for a, vec in enumerate(vectors):
+        if absorbed[a]:
+            continue
+        if not dominating[a]:
+            out.append(vec)
+            continue
+        acc, support = list(vec), [t for t, _ in finite[a]]
+        for b in range(a + 1, len(vectors)):
+            if absorbed[b] or not dominating[b]:
+                continue
+            other = vectors[b]
+            ys = [(t, y) for t, y in finite[b] if acc[t] is None or y < acc[t]]
+            if not _cross_dominates(D, acc, support, other, ys):
+                continue
+            absorbed[b] = True
+            for t, y in ys:
+                if acc[t] is None:
+                    support.append(t)
+                acc[t] = y
+        out.append(acc)
+    return out
+
+
+def _cross_dominates(
+    D: Rows, acc: Vector, support: list[int], other: Vector, ys: list[tuple[int, int]]
+) -> bool:
+    """acc_s + y_t >= D[s][t] (finite) for each s of acc's support where acc
+    is below `other` (or `other` is infinite) and each (t, y_t) in ys."""
+    for s in support:
+        x, z = acc[s], other[s]
+        if z is None or x < z:
+            row = D[s]
+            for t, y in ys:
+                target = row[t]
+                if target is None or x + y < target:
+                    return False
+    return True
 
 
 def singleton_tail_block(

@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence
 from .analysis import _normalizable, _zero_diagonal, require_normalized
 # unused here but kept: perfbench/layers.py patches them on this module to time spans
 from .analysis import is_completely_positive, lift_decomposition, normalize  # noqa
-from .core import Decomposition, SymTropMatrix, TropVector, on_grid
+from .core import INF, Decomposition, SymTropMatrix, TropScalar, TropVector, on_grid
 from .graphs import (
     PatternGraph,
     edge_clique_cover_number,
@@ -426,6 +426,7 @@ class _Instance:
         C, self.lift, scale = zero_diagonal
         self.A, self.C, self.scale = A, C, 2 * scale
         self._fooling: Optional[list[int]] = None
+        self._lifted: dict[int, TropScalar] = {}
 
     @functools.cached_property
     def G(self) -> PatternGraph:
@@ -461,11 +462,19 @@ class _Instance:
 
     def factor(self, x2: Sequence[Optional[int]]) -> TropVector:
         """A witness of `_search` (twice its coordinates on C's grid) lifted
-        onto A: (x2 + 2 d_i) / (2 scale) at row i with diagonal d_i."""
-        b: list[Optional[Fraction]] = [None] * self.A.n
+        onto A: (x2 + 2 d_i) / (2 scale) at row i with diagonal d_i.  The
+        denominator is the instance's, so each distinct numerator becomes a
+        `TropScalar` once and the instance's factors share it (scalars are
+        immutable); every infinite coordinate is `INF`."""
+        b = [INF] * self.A.n
+        lifted = self._lifted
         for (i, d), v in zip(self.lift, x2):
             if v is not None:
-                b[i] = Fraction(v + 2 * d, 2 * self.scale)
+                num = v + 2 * d
+                e = lifted.get(num)
+                if e is None:
+                    e = lifted[num] = TropScalar(Fraction(num, 2 * self.scale))
+                b[i] = e
         return TropVector(b)
 
 

@@ -14,7 +14,12 @@ SCHEMA = "tropcp-report/1"
 
 
 def matrix_digest(A: SymTropMatrix) -> str:
-    return hashlib.sha256(render_matrix(A).encode()).hexdigest()
+    return text_digest(render_matrix(A))
+
+
+def text_digest(text: str) -> str:
+    """The digest of a rendered matrix, as `matrix_digest` of the matrix."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def embed_decomposition(dec: Decomposition) -> dict[str, Any]:

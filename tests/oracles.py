@@ -23,9 +23,14 @@ partition of the vertices into cliques, pruned by part-count and bound
 limits, and `partition_min_cover_bound` and
 `partition_min_clique_cover_size` are those two functions as they were
 on it, kept verbatim, so the library's searches are checked against code
-they do not call.  `reference_is_completely_positive`, `reference_normalize`,
-`reference_restore_matrix` and `reference_lift_factor` are the analysis
-layer's `TropScalar` versions, from before it moved onto the integer grid.
+they do not call.  `fused_merge_pass` is the decompose tail's merge
+pass before it tested only the cross pairs a fusion changes: it builds
+every fused vector and rechecks its whole support.  It is kept verbatim,
+on the integer grid, so it is fast enough for the 26-cycle's tail, where
+`reference_merge_pass` takes over 20 s.  `reference_is_completely_positive`,
+`reference_normalize`, `reference_restore_matrix` and
+`reference_lift_factor` are the analysis layer's `TropScalar` versions,
+from before it moved onto the integer grid.
 `skeleton_cp_rank_leq` is the exact-rank search before it assigned every
 finite entry in one search: an outer walk over the zero-set skeletons of
 `CliquePartitions` and, inside each, a DFS over the off-diagonal
@@ -59,6 +64,7 @@ from tropcp import (
 )
 from tropcp.analysis import require_normalized
 from tropcp.core import Decomposition, scaled_rows
+from tropcp.decompose import _dominates
 from tropcp.graphs import _colour_classes, max_clique, pattern_graph
 from tropcp.rank import (
     DEFAULT_NODE_LIMIT,
@@ -283,6 +289,41 @@ def reference_merge_pass(
                     break
             if changed:
                 break
+    return vecs
+
+
+def fused_merge_pass(
+    D: list[list[Optional[int]]], vectors: list[list[Optional[int]]]
+) -> list[list[Optional[int]]]:
+    """Greedily fuse vector pairs while the fused vector still dominates D.
+
+    Entrywise minimum keeps every entry the originals attained (it can only
+    attain more), so domination is the only condition to recheck.  Each
+    step fuses the first dominating pair (a, b), a < b, in scan order into
+    position a and deletes b.
+
+    A fused vector has only smaller or more finite entries than either
+    original, so a pair that fails keeps failing once either of its
+    vectors is fused further.  Every pair before (a, b) in scan order
+    failed and still fails after the merge, so the next dominating pair
+    is at (a, b) or later: the scan resumes there instead of restarting,
+    and makes the same merges.  D and the vectors are on one grid.
+    """
+    vecs = list(vectors)
+    a = 0
+    while a < len(vecs):
+        b = a + 1
+        while b < len(vecs):
+            merged = [
+                y if x is None else x if y is None or x <= y else y
+                for x, y in zip(vecs[a], vecs[b])
+            ]
+            if _dominates(D, merged):
+                vecs[a] = merged
+                del vecs[b]
+            else:
+                b += 1
+        a += 1
     return vecs
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, reports, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,13 +13,14 @@ import pytest
 
 import tropcp.analysis
 import tropcp.cli
+import tropcp.reports
 import tropcp.selftest
 from tropcp import SymTropMatrix, normalize, parse_matrix, verify_decomposition
 from tropcp.cli import main
 from tropcp.corpus import flat_3x3, paw_matrix, rank_six_5x5, star6_matrix
 from tropcp.formats import render_graph, render_matrix
 from tropcp.graphs import PatternGraph, cp_rank_upper_bound, min_cover_bound, pattern_graph
-from tropcp.reports import load_decomposition
+from tropcp.reports import load_decomposition, matrix_digest
 
 
 @pytest.fixture
@@ -155,6 +157,30 @@ class TestDecomposeAndRank:
         assert payload["blocks"] == blocks
         assert payload["tail_mode"] == tail_mode
         assert sum(payload["blocks"]) == payload["factor_count"]
+
+    @pytest.mark.parametrize("command", ["decompose", "rank"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [rank_six_5x5(), SymTropMatrix.from_rows([["inf"] * 3, ["inf", 1, 2], ["inf", 2, 3]])],
+        ids=["rank_six", "odd_inf_row"],
+    )
+    def test_input_digest_hashes_the_embedded_target(
+        self, capsys, tmp_path, monkeypatch, command, matrix
+    ):
+        # the input is rendered once, as the decomposition's target
+        path = tmp_path / "m.tmat"
+        path.write_text(render_matrix(matrix))
+        renders = []
+        render = tropcp.reports.render_matrix
+        monkeypatch.setattr(
+            tropcp.reports, "render_matrix", lambda A: renders.append(A) or render(A)
+        )
+        code, report = run_json(capsys, command, str(path))
+        assert code == 0
+        target = report["payload"]["decomposition"]["target"]
+        assert report["input_digest"] == hashlib.sha256(target.encode()).hexdigest()
+        assert len(renders) == 1
+        assert report["input_digest"] == matrix_digest(matrix)
 
     def test_rank_with_certificate(self, capsys, tmp_path):
         path = tmp_path / "r6.tmat"

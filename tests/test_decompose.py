@@ -55,7 +55,7 @@ from tropcp.generators import (
 )
 from tropcp.graphs import cover_bound_terms, max_clique
 
-from oracles import dressed, reference_merge_pass
+from oracles import dressed, fused_merge_pass, reference_merge_pass
 
 
 def _vec(entries):
@@ -326,6 +326,30 @@ def merge_inputs(draw):
     return B, draw(st.permutations(vectors))
 
 
+# (n, p, graph seed, seed) and block counts of the five sparse catalogue
+# entries with the heaviest tails (`perfbench/catalogue.json`)
+HEAVY_SPARSE_TAILS = [
+    ((12, 0.2, 7203, 7203), [0, 0, 0, 25]),
+    ((12, 0.15, 7206, 7206), [0, 0, 0, 20]),
+    ((13, 0.15, 7802, 7302), [1, 0, 10, 18]),
+    ((13, 0.15, 7804, 7304), [0, 0, 0, 29]),
+    ((13, 0.15, 7808, 7308), [0, 0, 0, 29]),
+]
+
+
+def _recorded_merges(monkeypatch, A):
+    """decompose_cp_detailed(A), and (D, vectors, result) of each merge pass it ran."""
+    merges = []
+
+    def recorded(D, vectors):
+        out = _merge_pass(D, vectors)
+        merges.append((D, vectors, out))
+        return out
+
+    monkeypatch.setattr(decompose_mod, "_merge_pass", recorded)
+    return decompose_cp_detailed(A), merges
+
+
 class TestMergePass:
     """The integer merge pass against the TropScalar reference, on the
     `scaled_rows` grid of the matrix and vectors."""
@@ -353,6 +377,73 @@ class TestMergePass:
         merged = _merge(C, vectors)
         assert merged == reference_merge_pass(C, vectors)
         assert len(merged) < len(vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_inputs())
+    def test_same_vectors_as_the_fused_pass(self, case):
+        B, vectors = case
+        rows, vecs, _ = scaled_rows(B, vectors)
+        assert _merge_pass(rows, vecs) == fused_merge_pass(rows, vecs)
+
+    @pytest.mark.parametrize(
+        "spec, blocks",
+        HEAVY_SPARSE_TAILS,
+        ids=[f"graph_seed={spec[2]}" for spec, _ in HEAVY_SPARSE_TAILS],
+    )
+    def test_same_tail_as_the_fused_pass_on_heavy_catalogue_entries(
+        self, monkeypatch, spec, blocks
+    ):
+        n, p, graph_seed, seed = spec
+        A = generate_instance(random_pattern_graph(n, graph_seed, p), seed)
+        (dec, (_, got, mode)), merges = _recorded_merges(monkeypatch, A)
+        assert (list(got), mode, dec.rank) == (blocks, TAIL_PAIRS, sum(blocks))
+        ((D, vectors, merged),) = merges
+        assert merged == fused_merge_pass(D, vectors)
+        assert len(merged) == blocks[3]
+
+    @pytest.mark.parametrize("n, factors", [(14, 27), (20, 50), (26, 79)])
+    def test_same_tail_as_the_fused_pass_on_cycles(self, monkeypatch, n, factors):
+        # triangle-free: the cover is all n singletons, with one pair
+        # vector per finite entry, C(n, 2) of them
+        A = generate_instance(PatternGraph(n, [(i, (i + 1) % n) for i in range(n)]), 1)
+        (dec, (_, blocks, mode)), merges = _recorded_merges(monkeypatch, A)
+        ((D, vectors, merged),) = merges
+        assert len(vectors) == n * (n - 1) // 2
+        assert merged == fused_merge_pass(D, vectors)
+        assert (mode, list(blocks), dec.rank) == (TAIL_PAIRS, [0, 0, 0, factors], factors)
+
+    def test_tie_at_a_shared_coordinate(self):
+        # coordinate 1 is 1 in both: neither side, so only (0, 2) is tested
+        D = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        vectors = [[0, 1, None], [None, 1, 0]]
+        assert _merge_pass(D, vectors) == [[0, 1, 0]] == fused_merge_pass(D, vectors)
+        D[0][2] = D[2][0] = 1  # now 0 + 0 < 1 across the sides
+        assert _merge_pass(D, vectors) == vectors == fused_merge_pass(D, vectors)
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_a_vector_that_does_not_dominate_is_kept_as_it_is(self, at):
+        # 0 + 0 undercuts D[0][1] = 1 wherever the vector stands; the other
+        # three fuse into one
+        D = [[0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]]
+        others = [[0, 1, None, None], [None, 1, 0, None], [0, None, None, 0]]
+        undercut = [0, 0, None, None]
+        vectors = others[:at] + [undercut] + others[at:]
+        merged = _merge_pass(D, vectors)
+        assert merged == fused_merge_pass(D, vectors)
+        assert undercut in merged and len(merged) == 2
+        assert [0, 1, 0, 0] in merged
+
+    def test_an_infinite_entry_between_the_sides_blocks_the_fusion(self):
+        D = [[0, 1, None], [1, 0, 1], [None, 1, 0]]
+        vectors = [[0, 1, None], [None, 1, 0]]
+        assert _merge_pass(D, vectors) == vectors == fused_merge_pass(D, vectors)
+
+    def test_a_later_vector_that_adds_nothing_is_absorbed(self):
+        # after the first fusion the accumulator is at or below the third
+        # vector on its whole support, so the third fuses with nothing to test
+        D = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        vectors = [[0, 1, None], [None, 1, 0], [None, 2, 1]]
+        assert _merge_pass(D, vectors) == [[0, 1, 0]] == fused_merge_pass(D, vectors)
 
     def test_vectors_off_the_grid_of_b(self):
         # a vector entry with a denominator B does not have

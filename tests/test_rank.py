@@ -51,6 +51,7 @@ from tropcp.rank import (
     _FactorBuild,
     _Guard,
     _Utvpi,
+    prepare_instance,
 )
 
 from oracles import (
@@ -794,6 +795,47 @@ class TestPreparedInstance:
         assert (cert.rank, cert.refuted_by) == (7, ("bound", "search"))
         (adj, reqs), (adj2, reqs2) = orders
         assert adj is adj2 and reqs is reqs2
+
+
+class TestLiftedFactors:
+    """`_Instance.factor` against the plain lift, one `Fraction(v + 2 d, 2 scale)`
+    per finite coordinate."""
+
+    def test_same_vectors_as_the_plain_lift_on_seeded_inputs(self):
+        seen = {"inf row": 0, "half shift": 0}
+        for seed in range(40):
+            n = 3 + seed % 5
+            C = normalize(random_cp_matrix(n, seed))[0]
+            A = dressed(C, seed) if seed % 4 else C
+            P = prepare_instance(A)
+            rng = random.Random(seed)
+            witnesses = [
+                [None if rng.random() < 0.3 else rng.randrange(-6, 7) for _ in P.lift]
+                for _ in range(6)
+            ]
+            factors = [P.factor(x2) for x2 in witnesses]
+            for f, x2 in zip(factors, witnesses):
+                plain = [None] * A.n
+                for (i, d), v in zip(P.lift, x2):
+                    if v is not None:
+                        plain[i] = Fraction(v + 2 * d, 2 * P.scale)
+                assert f == TropVector(plain), seed
+                assert [str(e) for e in f] == [str(e) for e in TropVector(plain)]
+            # equal coordinates are one shared scalar, across the factors too
+            shared = {}
+            for e in itertools.chain.from_iterable(factors):
+                assert shared.setdefault(e, e) is e
+            diagonal = [A[i, i] for i in range(A.n)]
+            seen["inf row"] += INF in diagonal
+            seen["half shift"] += any(d != INF and d.finite % 2 == 1 for d in diagonal)
+        assert min(seen.values()) >= 10, seen
+
+    def test_odd_inf_diagonal_matrix(self):
+        A = SymTropMatrix.from_rows([["inf"] * 3, ["inf", 1, 2], ["inf", 2, 3]])
+        P = prepare_instance(A)
+        assert [str(e) for e in P.factor([0, 2])] == ["inf", "1/2", "2"]
+        assert P.factor([0, None])[1] is P.factor([0, 0])[1]
+        assert P.factor([0, None])[2] is INF
 
 
 class TestNormalizedGate:
